@@ -27,6 +27,13 @@
 // uses uncoalesced -- update = apply + publish, read = newest log entry,
 // RMW = read then apply -- so a regression in either the hash path or the
 // seqlock publish path lands in these numbers.
+//
+// One more row (store "server", workload "query_data") times the server's
+// real read path: RegisterServer::on_message(QUERY-DATA) -- parse, object
+// table probe, seqlock snapshot, reply encode -- over the same key count
+// preloaded through on_message(PUT-DATA), with a transport that drops
+// every reply. Its ops/s is a floor like the YCSB rows, so a newest-pair
+// lookup whose cost grows with the object count fails the gate.
 #if defined(__GLIBC__) || defined(__linux__)
 #include <malloc.h>
 #endif
@@ -39,9 +46,11 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "common/seqlock.h"
 #include "common/types.h"
 #include "registers/object_store.h"
+#include "registers/server.h"
 #include "workload.h"
 
 namespace bftreg::bench {
@@ -283,6 +292,20 @@ struct LegacyAdapter {
   }
 };
 
+/// Accepts and drops every message: the server's reply path runs in full
+/// (epoch stamp, encode) but nothing is delivered.
+class NullTransport final : public net::Transport {
+ public:
+  void send_payload(const ProcessId&, const ProcessId&, Payload) override {}
+  TimeNs now() const override { return 0; }
+  void post(const ProcessId&, std::function<void()>) override {}
+  void post_after(const ProcessId&, TimeNs, std::function<void()>) override {}
+  net::NetworkMetrics& metrics() override { return metrics_; }
+
+ private:
+  net::NetworkMetrics metrics_;
+};
+
 struct MixPoint {
   const YcsbMix* mix;
   KeyDist dist;
@@ -369,6 +392,60 @@ void run_store(const std::vector<MixPoint>& points, size_t keys, size_t ops,
   }
 }
 
+/// QUERY-DATA through RegisterServer::on_message over `keys` objects, each
+/// preloaded by one PUT-DATA; uniform keys, so every lookup is as likely
+/// to miss the cache as the object count makes it.
+Row run_server_query(size_t keys, size_t ops, size_t value_size,
+                     uint64_t seed) {
+  NullTransport transport;
+  registers::SystemConfig config;
+  config.n = 5;
+  config.f = 1;
+  config.store_policy = registers::StorePolicy::kMaxOnly;
+  config.max_history = kMaxHistory;
+  const ProcessId client = ProcessId::reader(0);
+  registers::RegisterServer server(ProcessId::server(0), config, &transport,
+                                   workload::make_value(seed, 0, value_size));
+  auto envelope = [&client](const registers::RegisterMessage& msg) {
+    net::Envelope env;
+    env.from = client;
+    env.to = ProcessId::server(0);
+    env.payload = Payload(msg.encode());
+    return env;
+  };
+  {
+    const std::vector<Bytes> pool = value_pool(seed, value_size);
+    registers::RegisterMessage put;
+    put.type = registers::MsgType::kPutData;
+    for (size_t key = 0; key < keys; ++key) {
+      put.object = static_cast<uint32_t>(key);
+      put.tag = Tag{2, ProcessId::writer(0)};
+      put.value = pool[key % pool.size()];
+      server.on_message(envelope(put));
+    }
+  }
+  // Requests are encoded up front so the timed loop is the server's work.
+  std::vector<net::Envelope> queries;
+  queries.reserve(1 << 16);
+  Rng rng(seed);
+  registers::RegisterMessage q;
+  q.type = registers::MsgType::kQueryData;
+  for (size_t i = 0; i < (1 << 16); ++i) {
+    q.op_id = i + 1;
+    q.object = static_cast<uint32_t>(rng.uniform(keys));
+    queries.push_back(envelope(q));
+  }
+  const auto t0 = Clock::now();
+  for (size_t i = 0; i < ops; ++i) server.on_message(queries[i & 0xffff]);
+  const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
+
+  Row r{"server", "query_data", "uniform", keys, value_size, -1, -1};
+  r.ops_per_sec = static_cast<double>(ops) / secs;
+  std::fprintf(stderr, "%-8s %-8s %-8s keys=%zu size=%zu %14.0f ops/s\n",
+               r.store, r.workload, r.dist, keys, value_size, r.ops_per_sec);
+  return r;
+}
+
 const Row* find_row(const std::vector<Row>& rows, const char* store,
                     const char* workload, const char* dist, size_t value_size) {
   for (const Row& r : rows) {
@@ -399,6 +476,7 @@ int run(const BenchArgs& args, size_t keys) {
   run_store<LegacyAdapter>(no_mixes, keys, ops, 64, args.seed, &rows, &sink);
   run_store<CompactAdapter>(mixes, keys, ops, 16, args.seed, &rows, &sink);
   run_store<CompactAdapter>(no_mixes, keys, ops, 64, args.seed, &rows, &sink);
+  rows.push_back(run_server_query(keys, ops, 16, args.seed));
 
   std::fprintf(stderr, "(sink %llu)\n", static_cast<unsigned long long>(sink));
   for (const Row& r : rows) {

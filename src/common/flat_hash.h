@@ -1,27 +1,29 @@
-// Open-addressing flat hash map for the million-object store.
+// Open-addressing flat hash map for the server's per-shard maps.
 //
 // `std::map` (and `std::unordered_map`) cost one heap node per entry plus
-// pointer-chasing on every lookup; at millions of objects the nodes alone
-// dominate the resident set and every probe is a cache miss. FlatHashMap
+// pointer-chasing on every lookup; at scale the nodes alone dominate the
+// resident set and every probe is a cache miss. FlatHashMap
 // stores entries inline in two parallel arrays -- a one-byte control array
 // (empty / tombstone / full) and a slot array holding the key/value pairs --
 // so a lookup touches one control byte and, on a hit, one slot, both on
 // adjacent cache lines.
 //
 // Design constraints (deliberately narrower than a general-purpose map):
-//   * Linear probing over a power-of-two capacity. The probe sequence is
-//     trivially prefetchable, and the registers workload hashes object ids
-//     through fnv1a64 (common/types.h), which mixes well enough that
-//     clustering is not a concern at the <= 7/8 load factor we enforce.
+//   * Linear probing over a power-of-two capacity, indexed by the low bits
+//     of the hash. The probe sequence is trivially prefetchable, but the
+//     default hasher is std::hash<K>, which libstdc++ makes the identity
+//     for integers: strided integer keys (i << 16) would all share one home
+//     slot and pile into one probe run. Callers whose keys can be strided
+//     must pass a hasher that mixes high bits into low ones, as the
+//     composite-key maps in registers/server.h do.
 //   * Erase writes a tombstone; tombstones are dropped wholesale on the
 //     next rehash. The deferred-reader maps (registers/server.h) churn
-//     entries, the object tables almost never erase -- both are fine with
-//     lazy reclamation.
+//     entries and are fine with lazy reclamation.
 //   * Iteration order is unspecified (a control-array scan). Callers that
 //     need determinism sort, as they already did for std::map-free walks.
-//   * NOT thread-safe, and rehashing moves value objects. Anything that
-//     needs pointer stability (NewestCache with its seqlock slots) lives
-//     behind an index stored here, never inside a slot -- see
+//   * NOT thread-safe, and rehashing moves value objects. The object
+//     tables, which need both (records with seqlock slots, probed from
+//     other threads), use their own single-writer table instead -- see
 //     registers/object_store.h.
 #pragma once
 

@@ -27,58 +27,29 @@ void NewestCache::publish(const Tag& tag, BytesView value) {
 }
 
 bool NewestCache::read(Tag* tag, Bytes* value) const {
-  InlineEntry entry;
-  if (!inline_.read(&entry)) return false;
-  if (entry.oversize != 0) {
-    // The pointee is immutable and carries its own tag, so even if the
-    // pointer has advanced past the snapshot we read, the pair returned is
-    // self-consistent (and newer -- monotonic, like the seqlock itself).
+  for (;;) {
+    InlineEntry entry;
+    if (!inline_.read(&entry)) return false;
+    const Tag snap{entry.tag_num,
+                   ProcessId{static_cast<Role>(entry.writer_role),
+                             entry.writer_index}};
+    if (entry.oversize == 0) {
+      *tag = snap;
+      if (value != nullptr) value->assign(entry.data, entry.data + entry.len);
+      return true;
+    }
+    // The pointee is immutable and carries its own tag. It can be newer
+    // than the snapshot: the owner stores the next oversize pair before
+    // its sentinel. Returning that pair early would let the reader's next
+    // read go backwards to an inline pair published in between, so retry
+    // until pointer and snapshot agree (the seqlock's versions then make
+    // successive reads monotonic).
     const auto pair = oversize_.load(std::memory_order_acquire);
     if (pair == nullptr) return false;  // unreachable; defensive
+    if (pair->tag != snap) continue;
     *tag = pair->tag;
     if (value != nullptr) *value = pair->value;
     return true;
-  }
-  *tag = Tag{entry.tag_num,
-             ProcessId{static_cast<Role>(entry.writer_role),
-                       entry.writer_index}};
-  if (value != nullptr) value->assign(entry.data, entry.data + entry.len);
-  return true;
-}
-
-// --- NewestCacheIndex -------------------------------------------------------
-
-void NewestCacheIndex::insert(uint32_t object, const NewestCache* cache) {
-  if (used_in_last_ == kNodesPerChunk) {
-    node_chunks_.push_back(std::make_unique<Node[]>(kNodesPerChunk));
-    used_in_last_ = 0;
-  }
-  Node* node = &node_chunks_.back()[used_in_last_++];
-  node->object = object;
-  node->cache = cache;
-  std::atomic<Node*>& head = heads_[object & (kBuckets - 1)];
-  node->next = head.load(std::memory_order_relaxed);
-  // Publication point: the release pairs with find()'s acquire, ordering
-  // the node's fields (and everything reachable through them) before any
-  // reader can traverse to it.
-  head.store(node, std::memory_order_release);
-}
-
-const NewestCache* NewestCacheIndex::find(uint32_t object) const {
-  const std::atomic<Node*>& head = heads_[object & (kBuckets - 1)];
-  for (const Node* n = head.load(std::memory_order_acquire); n != nullptr;
-       n = n->next) {
-    if (n->object == object) return n->cache;
-  }
-  return nullptr;
-}
-
-void NewestCacheIndex::collect(std::vector<uint32_t>* out) const {
-  for (const std::atomic<Node*>& head : heads_) {
-    for (const Node* n = head.load(std::memory_order_acquire); n != nullptr;
-         n = n->next) {
-      out->push_back(n->object);
-    }
   }
 }
 
@@ -199,11 +170,41 @@ size_t ObjectLog::value_bytes() const {
 
 // --- CompactObjectStore -----------------------------------------------------
 
+namespace {
+
+/// First table generation: 16 slots, so an idle shard (or the RB
+/// baseline's one store) costs almost nothing.
+constexpr unsigned kInitialTableBits = 4;
+
+}  // namespace
+
+CompactObjectStore::Table::Table(unsigned bits)
+    : shift(64 - bits),
+      mask((size_t{1} << bits) - 1),
+      slots(std::make_unique<std::atomic<ObjectRec*>[]>(mask + 1)) {}
+
+void CompactObjectStore::Table::place(ObjectRec* rec, std::memory_order order) {
+  size_t i = home_slot(rec->object, shift);
+  while (slots[i].load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & mask;
+  }
+  slots[i].store(rec, order);
+}
+
+size_t CompactObjectStore::home_slot(uint32_t object, unsigned shift) {
+  // 2^64 / golden ratio, odd.
+  return static_cast<size_t>((uint64_t{object} * 0x9E3779B97F4A7C15ULL) >>
+                             shift);
+}
+
 CompactObjectStore::CompactObjectStore(Bytes initial, StorePolicy policy,
                                        size_t max_history)
     : initial_(std::move(initial)),
       policy_(policy),
-      max_history_(max_history) {}
+      max_history_(max_history) {
+  tables_.push_back(std::make_unique<Table>(kInitialTableBits));
+  table_.store(tables_.back().get(), std::memory_order_release);
+}
 
 CompactObjectStore::~CompactObjectStore() {
   // Values and log arrays live in arena_ whose chunks are freed wholesale;
@@ -227,30 +228,64 @@ ValueRef CompactObjectStore::make_ref(BytesView value) {
   return ref;
 }
 
+const CompactObjectStore::ObjectRec* CompactObjectStore::find(
+    uint32_t object) const {
+  // Acquire pairs with the release that published this generation, and the
+  // slot's acquire with the release in insert(): a pointer seen here names
+  // a record whose id and {t0, initial} snapshot are already visible.
+  const Table& t = *table_.load(std::memory_order_acquire);
+  for (size_t i = home_slot(object, t.shift);; i = (i + 1) & t.mask) {
+    const ObjectRec* rec = t.slots[i].load(std::memory_order_acquire);
+    if (rec == nullptr) return nullptr;
+    if (rec->object == object) return rec;
+  }
+}
+
+void CompactObjectStore::collect(std::vector<uint32_t>* out) const {
+  const Table& t = *table_.load(std::memory_order_acquire);
+  for (size_t i = 0; i < t.capacity(); ++i) {
+    if (const ObjectRec* rec = t.slots[i].load(std::memory_order_acquire)) {
+      out->push_back(rec->object);
+    }
+  }
+}
+
+void CompactObjectStore::insert(ObjectRec* rec) {
+  const Table& live = *tables_.back();
+  const size_t count = count_.load(std::memory_order_relaxed) + 1;
+  if (count * 8 > live.capacity() * 7) {
+    // Grow past 7/8 full. The new generation is private until the release
+    // store below, so it is filled with relaxed stores; readers still on
+    // the old one keep finding every record it holds.
+    auto grown = std::make_unique<Table>(65 - live.shift);
+    for (size_t i = 0; i < live.capacity(); ++i) {
+      ObjectRec* old = live.slots[i].load(std::memory_order_relaxed);
+      if (old != nullptr) grown->place(old, std::memory_order_relaxed);
+    }
+    table_.store(grown.get(), std::memory_order_release);
+    tables_.push_back(std::move(grown));
+  }
+  // Publication point for the record (see find()).
+  tables_.back()->place(rec, std::memory_order_release);
+  count_.store(count, std::memory_order_relaxed);
+}
+
 std::pair<CompactObjectStore::ObjectRec*, size_t>
 CompactObjectStore::materialize(uint32_t object) {
-  auto [slot, inserted] = map_.try_emplace(object, 0u);
-  if (!inserted) return {&rec_at(*slot), 0};
+  if (ObjectRec* rec = find(object)) return {rec, 0};
 
   if (used_in_last_ == kRecsPerChunk) {
     chunks_.push_back(std::make_unique<ObjectRec[]>(kRecsPerChunk));
     used_in_last_ = 0;
   }
-  const uint32_t idx =
-      static_cast<uint32_t>((chunks_.size() - 1) * kRecsPerChunk +
-                            used_in_last_);
-  ++used_in_last_;
-  ++count_;
-  *slot = idx;
-
-  ObjectRec& rec = rec_at(idx);
+  ObjectRec& rec = chunks_.back()[used_in_last_++];
   rec.object = object;
   rec.log.insert(Tag::initial(), make_ref(initial_), arena_);
   rec.newest.publish(Tag::initial(), initial_);
-  // Index entry last: a cross-shard reader that finds the cache sees it
+  // Table entry last: a cross-shard reader that finds the record sees it
   // already holding the {t0, initial} snapshot. Records never move, so the
-  // pointer survives future inserts.
-  index_.insert(object, &rec.newest);
+  // pointer survives every later growth.
+  insert(&rec);
   return {&rec, initial_.size()};
 }
 
@@ -298,9 +333,12 @@ size_t CompactObjectStore::walk_value_bytes() const {
 }
 
 size_t CompactObjectStore::resident_bytes() const {
-  return chunks_.size() * kRecsPerChunk * sizeof(ObjectRec) +
-         map_.allocated_bytes() + arena_.allocated_bytes() +
-         index_.allocated_bytes();
+  size_t tables = 0;
+  for (const auto& t : tables_) {
+    tables += t->capacity() * sizeof(std::atomic<ObjectRec*>);
+  }
+  return chunks_.size() * kRecsPerChunk * sizeof(ObjectRec) + tables +
+         arena_.allocated_bytes();
 }
 
 }  // namespace bftreg::registers

@@ -7,11 +7,11 @@
 // every value its own heap vector -- costs a dozen malloc nodes and several
 // hundred stray bytes per object. Here the same state is:
 //
-//   * CompactObjectStore: an open-addressing FlatHashMap from object id to
-//     a slot in a chunked, never-moving pool of ObjectRec. Records must not
-//     move: each embeds the object's NewestCache (seqlock + atomics), whose
-//     address is published to the lock-free NewestCacheIndex for cross-
-//     shard readers.
+//   * CompactObjectStore: one open-addressing table of ObjectRec pointers
+//     into a chunked, never-moving pool of ObjectRec, written by the owner
+//     shard and probed lock-free by any thread. Records must not move:
+//     each embeds the object's NewestCache (seqlock + atomics), and the
+//     table hands out its address to cross-shard readers.
 //   * ObjectLog: the list L as a compact sorted array with front slack -- a
 //     small-vector ring. Entries are 40-byte PODs (16-byte Tag + 24-byte
 //     ValueRef) kept in ascending tag order; appends of growing tags (the
@@ -23,11 +23,11 @@
 //     malloc, no per-block header).
 //
 // One store per shard, touched only by the shard's owner thread -- except
-// the NewestCache/NewestCacheIndex publish path, which keeps exactly the
-// lock-free contract it had in server.h (single-writer publish, any-thread
-// read). The split between apply() and publish() is what enables write
-// coalescing: a mailbox batch applies every PUT-DATA to the logs first and
-// publishes each touched object's newest pair once at the end.
+// find()/collect() and the NewestCache they lead to, which keep the lock-
+// free contract of server.h (single-writer publish, any-thread read). The
+// split between apply() and publish() is what enables write coalescing: a
+// mailbox batch applies every PUT-DATA to the logs first and publishes
+// each touched object's newest pair once at the end.
 #pragma once
 
 #include <atomic>
@@ -39,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "common/seqlock.h"
 #include "common/slab.h"
 #include "common/types.h"
@@ -85,52 +84,6 @@ class NewestCache {
   /// that sees oversize == 1 always finds the pointer (release/acquire via
   /// the seqlock's sequence).
   std::atomic<std::shared_ptr<const TaggedValue>> oversize_;
-};
-
-/// Append-only object -> NewestCache* index, written by one shard thread
-/// and probed lock-free by any thread (QUERY-DATA-BATCH reads objects owned
-/// by other shards through this). Nodes are immutable once the bucket-head
-/// release store publishes them, and objects are never removed, so readers
-/// traverse plain `next` pointers with no further synchronization.
-class NewestCacheIndex {
- public:
-  NewestCacheIndex() = default;
-  NewestCacheIndex(const NewestCacheIndex&) = delete;
-  NewestCacheIndex& operator=(const NewestCacheIndex&) = delete;
-
-  /// Owner shard only; `object` must not already be present.
-  void insert(uint32_t object, const NewestCache* cache);
-
-  /// Any thread; nullptr when the object was never materialized.
-  const NewestCache* find(uint32_t object) const;
-
-  /// Any thread; appends every indexed object id to `out` (unsorted).
-  /// Traverses the same immutable nodes as find(), so it observes at least
-  /// everything published before the call.
-  void collect(std::vector<uint32_t>* out) const;
-
-  /// Bytes of node-pool chunks (writer thread; resident accounting).
-  size_t allocated_bytes() const {
-    return node_chunks_.size() * kNodesPerChunk * sizeof(Node);
-  }
-
- private:
-  static constexpr size_t kBuckets = 64;  // power of two
-
-  struct Node {
-    uint32_t object;
-    const NewestCache* cache;
-    Node* next;
-  };
-
-  std::atomic<Node*> heads_[kBuckets]{};
-  /// Owns the nodes, pooled in chunks so a million index entries cost a
-  /// million times 24 bytes, not a million mallocs. Chunks never move or
-  /// shrink (published nodes are reachable lock-free); touched only by the
-  /// writing shard thread.
-  static constexpr size_t kNodesPerChunk = 256;
-  std::vector<std::unique_ptr<Node[]>> node_chunks_;
-  size_t used_in_last_{kNodesPerChunk};
 };
 
 /// Value bytes by reference: inline up to kInlineCap, else a slab block.
@@ -200,7 +153,8 @@ class ObjectLog {
 };
 
 /// Everything one shard stores about its objects. Single-owner-thread,
-/// except the embedded NewestCache/NewestCacheIndex publish/read paths.
+/// except find(), collect(), size() and the NewestCache a found record
+/// embeds, which any thread may use concurrently with the owner.
 class CompactObjectStore {
  public:
   struct ObjectRec {
@@ -209,6 +163,7 @@ class CompactObjectStore {
     /// bytes -- the figure docs/PERF.md budgets per object.
     NewestCache newest;
     ObjectLog log;
+    /// Set before the record is published to the table; never changes.
     uint32_t object{0};
 
     ObjectRec() = default;
@@ -231,19 +186,17 @@ class CompactObjectStore {
   CompactObjectStore& operator=(const CompactObjectStore&) = delete;
 
   /// Creates (if needed) `object`'s record, seeding the log with
-  /// {t0, initial} and publishing that snapshot + the index entry on first
-  /// touch. Returns (record, value bytes added: initial size or 0).
+  /// {t0, initial} and publishing that snapshot before the record enters
+  /// the table. Returns (record, value bytes added: initial size or 0).
   std::pair<ObjectRec*, size_t> materialize(uint32_t object);
 
   /// Read-only lookup; never inserts (a client querying random ids must
-  /// not balloon server state).
-  const ObjectRec* find(uint32_t object) const {
-    const uint32_t* idx = map_.find(object);
-    return idx == nullptr ? nullptr : &rec_at(*idx);
-  }
+  /// not balloon server state). Any thread: one linear probe of the live
+  /// table. Only the owner may touch the record's log; other threads read
+  /// its `newest` snapshot.
+  const ObjectRec* find(uint32_t object) const;
   ObjectRec* find(uint32_t object) {
-    uint32_t* idx = map_.find(object);
-    return idx == nullptr ? nullptr : &rec_at(*idx);
+    return const_cast<ObjectRec*>(std::as_const(*this).find(object));
   }
 
   /// Inserts (tag, value) per the store policy, then applies max_history
@@ -254,8 +207,12 @@ class CompactObjectStore {
   /// Publishes rec's current newest pair through its seqlock cache.
   void publish(ObjectRec& rec);
 
-  const NewestCacheIndex& index() const { return index_; }
-  size_t size() const { return count_; }
+  /// Any thread; appends every materialized object id to `out` (unsorted).
+  /// Sees at least every record inserted before the call.
+  void collect(std::vector<uint32_t>* out) const;
+
+  /// Any thread (a relaxed count: exact only when the owner is quiescent).
+  size_t size() const { return count_.load(std::memory_order_relaxed); }
 
   /// fn(const ObjectRec&) for every record, unspecified order.
   template <typename Fn>
@@ -271,21 +228,44 @@ class CompactObjectStore {
   /// incremental counter).
   size_t walk_value_bytes() const;
 
-  /// Bytes this store holds from the system: record chunks, hash table,
-  /// slab chunks. The bench's resident-per-object metric reads this.
+  /// Bytes this store holds from the system: record chunks, every table
+  /// generation, slab chunks. The bench's resident-per-object metric reads
+  /// this.
   size_t resident_bytes() const;
 
   const Bytes& initial_value() const { return initial_; }
 
+  /// Home slot of `object` in a table of 2^(64 - shift) slots: the top bits
+  /// of object * 2^64/phi (multiplicative, "Fibonacci" hashing). Every id
+  /// bit reaches the top bits, so ids strided by any power of two spread
+  /// over the table instead of sharing one home slot; and consecutive ids
+  /// land in distinct slots (the three-distance theorem), so a dense id
+  /// range -- the common case -- is found on the first probe, where a
+  /// full-avalanche mix collides like random keys (about a quarter of
+  /// lookups probing past their home at half load).
+  static size_t home_slot(uint32_t object, unsigned shift);
+
  private:
   static constexpr size_t kRecsPerChunk = 256;  // 256 * 192B = 48 KiB
 
-  ObjectRec& rec_at(uint32_t idx) {
-    return chunks_[idx / kRecsPerChunk][idx % kRecsPerChunk];
-  }
-  const ObjectRec& rec_at(uint32_t idx) const {
-    return chunks_[idx / kRecsPerChunk][idx % kRecsPerChunk];
-  }
+  /// One generation of the object table: 2^bits record pointers, keyed by
+  /// rec->object through home_slot() and probed linearly; null marks an
+  /// empty slot. Only the owner stores into it, and only into empty slots
+  /// (records are never removed or moved), so a reader that sees a pointer
+  /// sees the record it names for good.
+  struct Table {
+    explicit Table(unsigned bits);
+    size_t capacity() const { return mask + 1; }
+    /// Stores `rec` into the first empty slot of its probe run.
+    void place(ObjectRec* rec, std::memory_order order);
+
+    const unsigned shift;  // 64 - bits: home_slot()'s argument
+    const size_t mask;
+    const std::unique_ptr<std::atomic<ObjectRec*>[]> slots;
+  };
+
+  /// Owner only: adds a fully initialized record that is not yet present.
+  void insert(ObjectRec* rec);
 
   ValueRef make_ref(BytesView value);
 
@@ -293,12 +273,19 @@ class CompactObjectStore {
   const StorePolicy policy_;
   const size_t max_history_;
 
-  common::FlatHashMap<uint32_t, uint32_t> map_;  // object -> record index
+  /// The live generation: loaded with acquire by every find()/collect(),
+  /// replaced with a release store when the owner grows the table past
+  /// 7/8 full.
+  std::atomic<const Table*> table_;
+  /// Owner only. Every generation, live last. Superseded ones stay until
+  /// the store dies, because a reader may still be probing one; they hold
+  /// stale but valid pointers, and their sizes halve, so together they are
+  /// smaller than the live table.
+  std::vector<std::unique_ptr<Table>> tables_;
   std::vector<std::unique_ptr<ObjectRec[]>> chunks_;
   size_t used_in_last_{kRecsPerChunk};
-  size_t count_{0};
+  std::atomic<size_t> count_{0};
   common::SlabArena arena_;
-  NewestCacheIndex index_;
 };
 
 }  // namespace bftreg::registers

@@ -75,16 +75,17 @@ std::vector<TaggedValue> RegisterServer::store(uint32_t object) const {
 }
 
 std::pair<Tag, Bytes> RegisterServer::newest_entry(uint32_t object) const {
-  const auto* rec = shard_for(object).store.find(object);
-  if (rec == nullptr) return {Tag::initial(), initial_};
-  const LogEntry& newest = rec->log.newest();
-  const BytesView v = newest.val.view();
-  return {newest.tag, Bytes(v.begin(), v.end())};
+  std::pair<Tag, Bytes> out;
+  read_newest(object, &out.first, &out.second);
+  return out;
 }
 
-bool RegisterServer::read_newest(uint32_t object, Tag* tag, Bytes* value) const {
-  const NewestCache* cache = shard_for(object).store.index().find(object);
-  return cache != nullptr && cache->read(tag, value);
+void RegisterServer::read_newest(uint32_t object, Tag* tag,
+                                 Bytes* value) const {
+  const auto* rec = shard_for(object).store.find(object);
+  if (rec != nullptr && rec->newest.read(tag, value)) return;
+  *tag = Tag::initial();
+  if (value != nullptr) *value = initial_;
 }
 
 size_t RegisterServer::stored_bytes() const {
@@ -156,7 +157,7 @@ void RegisterServer::handle_query_objects(const ProcessId& from,
   resp.op_id = req.op_id;
   resp.objects.reserve(std::min(kMaxObjects, objects_known()));
   for (const auto& shard : shards_) {
-    shard->store.index().collect(&resp.objects);
+    shard->store.collect(&resp.objects);
     if (resp.objects.size() >= kMaxObjects) break;
   }
   std::sort(resp.objects.begin(), resp.objects.end());
@@ -174,7 +175,6 @@ void RegisterServer::on_batch_end(uint32_t shard) {
   Shard& s = *shards_[shard];
   flush_batch(s);
   s.in_batch = false;
-  s.batch_read_cache.clear();
 }
 
 void RegisterServer::flush_batch(Shard& shard) {
@@ -259,9 +259,9 @@ void RegisterServer::handle_query_tag(const ProcessId& from,
   resp.op_id = req.op_id;
   resp.object = req.object;
   // Seqlock fast path: the newest tag comes from the published snapshot,
-  // not the shard's table (identical answer -- the owner publishes on every
-  // applied put and this handler runs on the owner shard).
-  if (!read_newest(req.object, &resp.tag, nullptr)) resp.tag = Tag::initial();
+  // not the log (identical answer -- the owner publishes on every applied
+  // put and this handler runs on the owner shard).
+  read_newest(req.object, &resp.tag, nullptr);
   reply(from, resp);
 }
 
@@ -339,10 +339,7 @@ void RegisterServer::handle_query_data(const ProcessId& from,
   resp.type = MsgType::kDataResp;
   resp.op_id = req.op_id;
   resp.object = req.object;
-  if (!read_newest(req.object, &resp.tag, &resp.value)) {
-    resp.tag = Tag::initial();
-    resp.value = initial_;
-  }
+  read_newest(req.object, &resp.tag, &resp.value);
   reply(from, resp);
 }
 
@@ -429,13 +426,6 @@ void RegisterServer::handle_query_data_batch(const ProcessId& from,
   constexpr size_t kMaxBatch = 4096;
   const size_t count = std::min(req.objects.size(), kMaxBatch);
 
-  // Batch-scoped read memo: when the mailbox batch carries several of these
-  // requests (fan-in from many readers), each distinct object costs one
-  // seqlock read for the whole batch. Only used inside a batch bracket --
-  // the memo is cleared at on_batch_end, bounding staleness to the batch.
-  Shard& home = shard_for(req.object);
-  const bool memo = home.in_batch;
-
   RegisterMessage resp;
   resp.type = MsgType::kDataBatchResp;
   resp.op_id = req.op_id;
@@ -443,19 +433,12 @@ void RegisterServer::handle_query_data_batch(const ProcessId& from,
                       req.objects.begin() + static_cast<long>(count));
   resp.history.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    // The request's objects may be owned by other shards; the seqlock
-    // snapshots are the one structure safe to read across shard threads.
-    if (memo) {
-      if (const TaggedValue* hit = home.batch_read_cache.find(req.objects[i])) {
-        resp.history.push_back(*hit);
-        continue;
-      }
-    }
+    // The request's objects may be owned by other shards; their tables and
+    // seqlock snapshots are safe to read from this shard's thread. Every
+    // object is read afresh: a put another shard acked after an earlier
+    // request in this mailbox batch must show in this reply.
     TaggedValue tv;
-    if (!read_newest(req.objects[i], &tv.tag, &tv.value)) {
-      tv = TaggedValue{Tag::initial(), initial_};
-    }
-    if (memo) home.batch_read_cache.try_emplace(req.objects[i], tv);
+    read_newest(req.objects[i], &tv.tag, &tv.value);
     resp.history.push_back(std::move(tv));
   }
   reply(from, resp);

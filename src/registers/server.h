@@ -12,14 +12,16 @@
 // table is split into shards keyed hash(object) % shards, and the server
 // asks its transport for one delivery context per shard (delivery_shards /
 // shard_of below). Every message that names an object routes to the shard
-// that owns it, so each shard's store (a CompactObjectStore -- flat-hash
-// object table, slab-backed logs; see registers/object_store.h) is touched
+// that owns it, so each shard's store (a CompactObjectStore -- one lock-free
+// object table, slab-backed logs; see registers/object_store.h) is written
 // by exactly one mailbox thread and needs no lock. The one cross-shard
-// read -- QUERY-DATA-BATCH, whose object list can span owners -- goes
-// through a per-object seqlock snapshot (common/seqlock.h) of the newest
-// (tag, value) pair, published by the owning shard on every applied put and
-// readable from any thread. QUERY-TAG and QUERY-DATA answer from the same
-// snapshot, keeping the read fast path off the shard's table entirely.
+// read -- QUERY-DATA-BATCH, whose object list can span owners -- probes the
+// owner's object table, which any thread may read, and copies the
+// object's per-object seqlock snapshot (common/seqlock.h) of the newest
+// (tag, value) pair, published by the owning shard on every applied put.
+// QUERY-TAG and QUERY-DATA take the same path on the owner shard: every
+// newest-pair read is one table probe plus one seqlock snapshot, whatever
+// the object count.
 //
 // Write coalescing: transports that drain mailbox batches bracket each
 // batch with on_batch_begin/on_batch_end. Inside a batch, PUT-DATAs apply
@@ -142,8 +144,8 @@ class RegisterServer : public net::IProcess {
   void observe_epoch(uint64_t epoch);
 
   /// QUERY-OBJECTS -> OBJECTS-RESP: every object id this server has
-  /// materialized (capped; see .cpp). Lock-free via the per-shard indexes,
-  /// so any shard thread may serve it for a recovering peer.
+  /// materialized (capped; see .cpp). Lock-free via the per-shard object
+  /// tables, so any shard thread may serve it for a recovering peer.
   void handle_query_objects(const ProcessId& from, const RegisterMessage& req);
 
   /// Newest (tag, value) of `object` without creating its store.
@@ -198,19 +200,18 @@ class RegisterServer : public net::IProcess {
     /// Objects whose logs changed this batch but whose newest snapshot is
     /// not yet published. Duplicates allowed; the flush dedups.
     std::vector<uint32_t> pending_dirty;
-    /// Batch-scoped memo of cross-shard newest reads: several QUERY-DATA-
-    /// BATCHes in one mailbox batch cost one seqlock read per object.
-    common::FlatHashMap<uint32_t, TaggedValue> batch_read_cache;
   };
 
   uint32_t owner_shard(uint32_t object) const;
   Shard& shard_for(uint32_t object);
   const Shard& shard_for(uint32_t object) const;
-  /// Cross-shard newest read through the seqlock cache; false when the
-  /// object was never materialized (caller answers {t0, initial_}).
-  bool read_newest(uint32_t object, Tag* tag, Bytes* value) const;
+  /// Newest (tag, value) of `object` from any shard thread: one probe of
+  /// the owner's object table plus one seqlock snapshot; {t0, initial_}
+  /// when the object was never materialized. `value` may be null (QUERY-
+  /// TAG wants just the tag).
+  void read_newest(uint32_t object, Tag* tag, Bytes* value) const;
   /// Publishes every dirty object's newest pair, then releases the held
-  /// replies, then clears the batch memo. No-op when nothing is pending.
+  /// replies. No-op when nothing is pending.
   void flush_batch(Shard& shard);
 
   void handle_query_tag(const ProcessId& from, const RegisterMessage& req);

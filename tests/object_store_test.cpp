@@ -7,8 +7,10 @@
 // stress drives the seqlock publish path of the new layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,10 +83,17 @@ class ReferenceModel {
   std::map<uint32_t, std::map<Tag, Bytes>> objects_;
 };
 
-/// Every record's log must match the reference entry for entry, and the
-/// published newest pair must match the reference maximum.
+/// Every record's log must match the reference entry for entry, the
+/// published newest pair must match the reference maximum, and collect()
+/// must name exactly the reference's objects.
 void expect_equal(const CompactObjectStore& store, const ReferenceModel& ref) {
   ASSERT_EQ(store.size(), ref.objects().size());
+  std::vector<uint32_t> ids;
+  store.collect(&ids);
+  std::sort(ids.begin(), ids.end());
+  std::vector<uint32_t> ref_ids;
+  for (const auto& entry : ref.objects()) ref_ids.push_back(entry.first);
+  ASSERT_EQ(ids, ref_ids);
   for (const auto& [object, log] : ref.objects()) {
     const auto* rec = store.find(object);
     ASSERT_NE(rec, nullptr) << "object " << object;
@@ -112,8 +121,12 @@ struct DifferentialCase {
 class ObjectStoreDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
 
-TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
-  const auto [policy, max_history] = GetParam();
+/// Random apply/publish/lookup rounds against the reference model. Round r
+/// writes object id_of(k) for a random k < keys; lookups of id_of(k) for
+/// k >= keys must miss without materializing anything.
+template <typename IdOf>
+void run_differential(StorePolicy policy, size_t max_history, uint32_t keys,
+                      IdOf id_of) {
   const Bytes initial = value_of(7, 0, 16);
   CompactObjectStore store(initial, policy, max_history);
   ReferenceModel ref(initial, policy, max_history);
@@ -124,7 +137,7 @@ TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
   // (<= 16), slab small, slab large, and the > 32 B oversize publish path.
   const size_t kSizes[] = {0, 1, 8, 16, 17, 33, 40, 200, 2048};
   for (int round = 0; round < 4000; ++round) {
-    const auto object = static_cast<uint32_t>(rng.uniform(160));
+    const uint32_t object = id_of(static_cast<uint32_t>(rng.uniform(keys)));
     const Tag tag{rng.uniform(24),
                   ProcessId::writer(static_cast<uint32_t>(rng.uniform(3)))};
     const Bytes value =
@@ -139,7 +152,7 @@ TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
     ASSERT_EQ(res.bytes_delta, ref_delta) << "round " << round;
 
     // Random negative lookups must not materialize state.
-    EXPECT_EQ(store.find(static_cast<uint32_t>(1000 + rng.uniform(100))),
+    EXPECT_EQ(store.find(id_of(keys + static_cast<uint32_t>(rng.uniform(100)))),
               nullptr);
     if (round % 400 == 399) {
       expect_equal(store, ref);
@@ -152,6 +165,11 @@ TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
   EXPECT_EQ(static_cast<long long>(store.walk_value_bytes()), stored);
 }
 
+TEST_P(ObjectStoreDifferential, RandomizedInsertGcLookupMatchesReference) {
+  const auto [policy, max_history] = GetParam();
+  run_differential(policy, max_history, 160, [](uint32_t k) { return k; });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndBudgets, ObjectStoreDifferential,
     ::testing::Values(DifferentialCase{StorePolicy::kAll, 0},
@@ -160,6 +178,78 @@ INSTANTIATE_TEST_SUITE_P(
                       DifferentialCase{StorePolicy::kMaxOnly, 0},
                       DifferentialCase{StorePolicy::kMaxOnly, 1},
                       DifferentialCase{StorePolicy::kMaxOnly, 4}));
+
+// The object table under id streams that defeat a weak hash: sequential
+// ids, and ids strided by 2^16 (a client namespace in the high bits), which
+// an identity hash would send to one home slot. 1200 objects take the
+// table from 16 slots through seven doublings while the rounds run.
+enum class IdStream { kSequential, kStrided };
+
+struct IdStreamCase {
+  IdStream stream;
+  StorePolicy policy;
+  size_t max_history;
+};
+
+class ObjectStoreIdStreams : public ::testing::TestWithParam<IdStreamCase> {};
+
+TEST_P(ObjectStoreIdStreams, DifferentialSurvivesTableGrowth) {
+  const auto [stream, policy, max_history] = GetParam();
+  if (stream == IdStream::kSequential) {
+    run_differential(policy, max_history, 1200, [](uint32_t k) { return k; });
+  } else {
+    run_differential(policy, max_history, 1200,
+                     [](uint32_t k) { return k << 16; });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SequentialAndStrided, ObjectStoreIdStreams,
+    ::testing::Values(
+        IdStreamCase{IdStream::kSequential, StorePolicy::kAll, 3},
+        IdStreamCase{IdStream::kSequential, StorePolicy::kMaxOnly, 1},
+        IdStreamCase{IdStream::kStrided, StorePolicy::kAll, 3},
+        IdStreamCase{IdStream::kStrided, StorePolicy::kMaxOnly, 1}),
+    [](const ::testing::TestParamInfo<IdStreamCase>& info) {
+      return std::string(info.param.stream == IdStream::kSequential
+                             ? "sequential"
+                             : "strided") +
+             (info.param.policy == StorePolicy::kAll ? "_all_h"
+                                                     : "_maxonly_h") +
+             std::to_string(info.param.max_history);
+    });
+
+// Every id in a 2^16-strided stream shares its low 16 bits, so masking the
+// raw id (std::hash's identity) would give all of them one home slot and
+// one probe run as long as the stream. Placing 4096 ids of every power-of-
+// two stride into 8192 slots the way the table does (linear probing from
+// home_slot()) must keep every lookup short -- random keys average about
+// 1.5 probes with a longest run past 10 -- and a dense id range must need
+// no probing at all.
+TEST(ObjectStoreTest, HomeSlotsKeepStridedAndDenseIdsOnShortProbes) {
+  constexpr uint32_t kIds = 4096;
+  constexpr unsigned kBits = 13;
+  constexpr size_t kMask = (size_t{1} << kBits) - 1;
+  for (unsigned stride = 0; stride <= 19; ++stride) {
+    std::vector<bool> used(kMask + 1, false);
+    size_t total = 0;
+    size_t longest = 0;
+    for (uint32_t k = 0; k < kIds; ++k) {
+      size_t i = CompactObjectStore::home_slot(k << stride, 64 - kBits);
+      ASSERT_LE(i, kMask);
+      size_t probes = 1;
+      for (; used[i]; i = (i + 1) & kMask) ++probes;
+      used[i] = true;
+      total += probes;
+      longest = std::max(longest, probes);
+    }
+    EXPECT_LE(total, 2 * kIds) << "stride 2^" << stride;
+    EXPECT_LE(longest, 8u) << "stride 2^" << stride;
+    if (stride == 0) {
+      EXPECT_EQ(total, kIds);
+    }
+  }
+}
 
 // Lemma 4's adversarial history: f Byzantine servers can contribute at most
 // f garbage tags above every honest one. The store must keep them (it
@@ -240,8 +330,8 @@ TEST(ObjectStoreTest, MaxHistoryOneKeepsExactlyTheNewestPair) {
 // The seqlock publish path of the new layout under real concurrency: one
 // owner thread applies + publishes monotonically-tagged self-describing
 // values while readers hammer NewestCache::read through the lock-free
-// index. Readers must never see a torn pair (value must match its tag) nor
-// a tag moving backwards. Run under -preset tsan this also proves the
+// object table. Readers must never see a torn pair (value must match its
+// tag) nor a tag moving backwards. Run under -preset tsan this also proves the
 // data-race freedom of the 192-byte (unaligned-slot) record layout.
 TEST(ObjectStoreTest, SeqlockPublishPathUnderConcurrentReaders) {
   CompactObjectStore store(value_of(6, 0, 16), StorePolicy::kMaxOnly, 2);
@@ -263,8 +353,9 @@ TEST(ObjectStoreTest, SeqlockPublishPathUnderConcurrentReaders) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      const NewestCache* cache = store.index().find(kObject);
-      ASSERT_NE(cache, nullptr);
+      const auto* rec = store.find(kObject);
+      ASSERT_NE(rec, nullptr);
+      const NewestCache* cache = &rec->newest;
       uint64_t last = 0;
       while (!stop.load(std::memory_order_acquire)) {
         Tag tag;
@@ -288,7 +379,7 @@ TEST(ObjectStoreTest, SeqlockPublishPathUnderConcurrentReaders) {
 
   Tag tag;
   Bytes value;
-  ASSERT_TRUE(store.index().find(kObject)->read(&tag, &value));
+  ASSERT_TRUE(store.find(kObject)->newest.read(&tag, &value));
   EXPECT_EQ(tag.num, kWrites);
   EXPECT_EQ(value, value_for(kWrites));
 }

@@ -1,7 +1,19 @@
 // Unit tests for RegisterServer (Fig. 3 / Fig. 6 server logic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <thread>
+
+#include "common/rng.h"
 #include "registers/server.h"
+#include "runtime/thread_network.h"
 #include "sim/simulator.h"
 
 namespace bftreg::registers {
@@ -452,12 +464,346 @@ TEST_F(ShardedServerFixture, OversizeValuesRoundTripThroughCache) {
   EXPECT_EQ(probe_.received[0].value, (Bytes{'s'}));
 }
 
+// A put acked by its owner shard must be visible to every QUERY-DATA-BATCH
+// that arrives afterwards, even one delivered later in the same mailbox
+// batch as an earlier request that read the object's old pair.
+TEST_F(ShardedServerFixture, BatchReadInsideMailboxBatchSeesLaterAckedPut) {
+  auto owner = [this](uint32_t object) {
+    RegisterMessage q;
+    q.type = MsgType::kQueryTag;
+    q.object = object;
+    net::Envelope env;
+    env.payload = Payload(q.encode());
+    return server_.shard_of(env);
+  };
+  const uint32_t home = 1;
+  uint32_t other = home + 1;
+  while (owner(other) == owner(home)) ++other;
+
+  RegisterMessage q;
+  q.type = MsgType::kQueryDataBatch;
+  q.object = home;
+  q.objects = {home, other};
+  server_.on_batch_begin(owner(home));
+  send(q);  // reads `other` as {t0, v0}
+  put(other, Tag{1, writer_}, Bytes{'n'});  // owner shard publishes, acks
+  ASSERT_EQ(probe_.received.back().type, MsgType::kAck);
+  probe_.received.clear();
+  send(q);
+  server_.on_batch_end(owner(home));
+
+  ASSERT_EQ(probe_.received.size(), 1u);
+  ASSERT_EQ(probe_.received[0].history.size(), 2u);
+  EXPECT_EQ(probe_.received[0].history[1].tag, (Tag{1, writer_}));
+  EXPECT_EQ(probe_.received[0].history[1].value, (Bytes{'n'}));
+}
+
 TEST_F(ShardedServerFixture, StoredBytesTracksAcrossShards) {
   const size_t initial = server_.stored_bytes();  // object 0's lazy init
   put(1, Tag{1, writer_}, Bytes(100, 'x'));
   put(2, Tag{1, writer_}, Bytes(50, 'y'));
   // Each first put materializes {t0, v0} (2 bytes) plus the value.
   EXPECT_EQ(server_.stored_bytes(), initial + 2 + 100 + 2 + 50);
+}
+
+// --- object table growth (every newest-pair read: one table probe) ---------
+
+/// Object `o`'s one written value: oversize (past the 32-byte inline cap,
+/// so it takes the shared_ptr path) for every third object, inline
+/// otherwise, and derived from `o` so a reply names the object it is for.
+Bytes grown_value(uint32_t object) {
+  Bytes v(object % 3 == 0 ? NewestCache::kInlineValueCap + 9 : 7);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<uint8_t>(object * 31 + i);
+  }
+  return v;
+}
+
+/// The newest pair every read of `object` must return after its put, or
+/// after the second put that GrowthSweep gives to early objects.
+Tag grown_tag(uint32_t object, uint64_t round) {
+  return Tag{round, ProcessId::writer(object % 2)};
+}
+
+class ServerTableGrowth : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  ServerTableGrowth()
+      : sim_(sim::SimConfig::with_fixed_delay(1, 10)),
+        server_(ProcessId::server(0), make_config(GetParam()), &sim_,
+                Bytes{'v', '0'}) {
+    sim_.add_process(ProcessId::server(0), &server_);
+    sim_.add_process(client_, &probe_);
+  }
+
+  static SystemConfig make_config(uint32_t shards) {
+    SystemConfig c;
+    c.n = 5;
+    c.f = 1;
+    c.initial_value = Bytes{'v', '0'};
+    c.server_shards = shards;
+    return c;
+  }
+
+  /// Sends one request and returns the server's one reply to it.
+  RegisterMessage ask(RegisterMessage req) {
+    probe_.received.clear();
+    req.op_id = ++op_;
+    sim_.send(client_, ProcessId::server(0), req.encode());
+    sim_.run_until_idle();
+    EXPECT_EQ(probe_.received.size(), 1u);
+    return probe_.received.empty() ? RegisterMessage{} : probe_.received[0];
+  }
+
+  void put(uint32_t object, uint64_t round) {
+    RegisterMessage m;
+    m.type = MsgType::kPutData;
+    m.object = object;
+    m.tag = grown_tag(object, round);
+    m.value = grown_value(object);
+    if (round > 1) m.value.push_back(static_cast<uint8_t>(round));
+    EXPECT_EQ(ask(m).type, MsgType::kAck);
+  }
+
+  /// Checks every object in [1, written] (and a few never-written ids)
+  /// through QUERY-TAG, QUERY-DATA, QUERY-DATA-BATCH and QUERY-OBJECTS.
+  void expect_served(uint32_t written, uint32_t rewritten) {
+    auto expected = [&](uint32_t object) {
+      if (object > written) return TaggedValue{Tag::initial(), Bytes{'v', '0'}};
+      const uint64_t round = object <= rewritten ? 2 : 1;
+      Bytes v = grown_value(object);
+      if (round > 1) v.push_back(static_cast<uint8_t>(round));
+      return TaggedValue{grown_tag(object, round), v};
+    };
+    std::vector<uint32_t> batch;
+    for (uint32_t object = 1; object <= written + 3; ++object) {
+      const TaggedValue want = expected(object);
+      RegisterMessage q;
+      q.object = object;
+      q.type = MsgType::kQueryTag;
+      EXPECT_EQ(ask(q).tag, want.tag) << "QUERY-TAG " << object;
+      q.type = MsgType::kQueryData;
+      const RegisterMessage data = ask(q);
+      EXPECT_EQ(data.tag, want.tag) << "QUERY-DATA " << object;
+      EXPECT_EQ(data.value, want.value) << "QUERY-DATA " << object;
+
+      batch.push_back(object);
+      if (batch.size() == 61 || object == written + 3) {
+        RegisterMessage b;
+        b.type = MsgType::kQueryDataBatch;
+        b.object = batch.front();
+        b.objects = batch;
+        const RegisterMessage resp = ask(b);
+        EXPECT_EQ(resp.type, MsgType::kDataBatchResp);
+        EXPECT_EQ(resp.objects, batch);
+        EXPECT_EQ(resp.history.size(), batch.size());
+        for (size_t i = 0; i < std::min(batch.size(), resp.history.size());
+             ++i) {
+          EXPECT_EQ(resp.history[i], expected(batch[i]))
+              << "QUERY-DATA-BATCH " << batch[i];
+        }
+        batch.clear();
+      }
+    }
+
+    RegisterMessage q;
+    q.type = MsgType::kQueryObjects;
+    q.object = written;
+    std::vector<uint32_t> want_ids(written + 1);
+    for (uint32_t object = 0; object <= written; ++object) {
+      want_ids[object] = object;
+    }
+    EXPECT_EQ(ask(q).objects, want_ids);  // sorted; object 0 always exists
+    EXPECT_EQ(server_.objects_known(), written + 1);
+  }
+
+  sim::Simulator sim_;
+  RegisterServer server_;
+  ProcessId client_ = ProcessId::writer(0);
+  ClientProbe probe_;
+  uint64_t op_{0};
+};
+
+// 1500 objects take each shard's table from 16 slots through six (four
+// shards) or seven (one shard) doublings. Reads are checked before the
+// first growth, between growths, and after the last; objects written
+// before a growth are rewritten after it, so the newest pair must follow
+// the record into every new table generation.
+TEST_P(ServerTableGrowth, ReadPathsServeNewestPairAcrossGrowths) {
+  uint32_t written = 0;
+  uint32_t rewritten = 0;
+  for (const uint32_t checkpoint : {5u, 60u, 400u, 1500u}) {
+    for (; written < checkpoint; ++written) put(written + 1, 1);
+    expect_served(written, rewritten);
+    for (; rewritten < written / 2; ++rewritten) put(rewritten + 1, 2);
+    expect_served(written, rewritten);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shards, ServerTableGrowth, ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return "shards" + std::to_string(info.param);
+    });
+
+/// Collects ACKs: acked[o] is set (release) when object o's put is acked.
+class AckProbe final : public net::IProcess {
+ public:
+  explicit AckProbe(size_t objects) : acked(objects + 1) {}
+  void on_message(const net::Envelope& env) override {
+    auto msg = RegisterMessage::parse(env.payload);
+    if (!msg || msg->type != MsgType::kAck || msg->object >= acked.size()) {
+      return;
+    }
+    acked[msg->object].store(true, std::memory_order_release);
+    acks.fetch_add(1, std::memory_order_release);
+  }
+  std::vector<std::atomic<bool>> acked;
+  std::atomic<size_t> acks{0};
+};
+
+/// Hands each DATA-BATCH-RESP to the reader thread waiting on it.
+class ReplySlot final : public net::IProcess {
+ public:
+  void on_message(const net::Envelope& env) override {
+    auto msg = RegisterMessage::parse(env.payload);
+    if (!msg || msg->type != MsgType::kDataBatchResp) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    reply_ = std::move(*msg);
+    cv_.notify_one();
+  }
+  /// Waits for the reply to `op_id`; nullopt after 30 s.
+  std::optional<RegisterMessage> wait(uint64_t op_id) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!cv_.wait_for(lock, std::chrono::seconds(30), [&] {
+          return reply_.has_value() && reply_->op_id == op_id;
+        })) {
+      return std::nullopt;
+    }
+    auto out = std::move(reply_);
+    reply_.reset();
+    return out;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<RegisterMessage> reply_;
+};
+
+// Real threads at server_shards = 4: the test thread puts 6000 objects
+// (each shard's table doubles seven times) while three reader threads send
+// QUERY-DATA-BATCH requests whose objects span all four owners, so shard
+// threads probe tables the owner is growing. Every pair read must be the
+// initial pair or the one published pair, and an object whose put was
+// acked before the request was sent must never read as missing.
+TEST(ServerTableGrowthConcurrency, BatchReadsAcrossOwnersWhileTablesGrow) {
+  constexpr uint32_t kObjects = 6000;
+  constexpr size_t kBatch = 24;
+  constexpr size_t kReaders = 3;
+  const Bytes v0{'v', '0'};
+  const Tag published{1, ProcessId::writer(0)};
+
+  runtime::ThreadNetwork net(runtime::RuntimeConfig{});
+  SystemConfig config;
+  config.n = 5;
+  config.f = 1;
+  config.initial_value = v0;
+  config.server_shards = 4;
+  const ProcessId server_id = ProcessId::server(0);
+  RegisterServer server(server_id, config, &net, v0);
+  const ProcessId writer = ProcessId::writer(0);
+  AckProbe acks(kObjects);
+  net.add_process(server_id, &server);
+  net.add_process(writer, &acks);
+  std::vector<std::unique_ptr<ReplySlot>> slots;
+  for (size_t r = 0; r < kReaders; ++r) {
+    slots.push_back(std::make_unique<ReplySlot>());
+    net.add_process(ProcessId::reader(static_cast<uint32_t>(r)),
+                    slots.back().get());
+  }
+  net.start();
+
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> bad_pair{0}, missing_acked{0}, timeouts{0};
+  std::atomic<uint64_t> reads{0}, acked_reads{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const ProcessId self = ProcessId::reader(static_cast<uint32_t>(r));
+      Rng rng(0x96a + r);
+      uint64_t op = 0;
+      // Keep reading for a few rounds after the last put.
+      for (int tail = 0; tail < 20;) {
+        if (!writing.load(std::memory_order_acquire)) ++tail;
+        RegisterMessage q;
+        q.type = MsgType::kQueryDataBatch;
+        q.op_id = ++op;
+        std::vector<bool> acked_before;
+        for (size_t i = 0; i < kBatch; ++i) {
+          // A few ids past kObjects are never written.
+          const auto object =
+              static_cast<uint32_t>(1 + rng.uniform(kObjects + 8));
+          q.objects.push_back(object);
+          acked_before.push_back(
+              object <= kObjects &&
+              acks.acked[object].load(std::memory_order_acquire));
+        }
+        q.object = q.objects.front();
+        net.send(self, server_id, q.encode());
+        const auto resp = slots[r]->wait(q.op_id);
+        if (!resp || resp->history.size() != kBatch) {
+          ++timeouts;
+          return;
+        }
+        for (size_t i = 0; i < kBatch; ++i) {
+          const TaggedValue& got = resp->history[i];
+          const uint32_t object = q.objects[i];
+          if (got.tag == Tag::initial()) {
+            if (got.value != v0) ++bad_pair;
+            if (acked_before[i]) ++missing_acked;
+          } else {
+            if (object > kObjects || got.tag != published ||
+                got.value != grown_value(object)) {
+              ++bad_pair;
+            }
+            if (acked_before[i]) ++acked_reads;
+          }
+        }
+        ++reads;
+      }
+    });
+  }
+
+  // Puts from the test thread, at most 256 unacked at a time.
+  for (uint32_t object = 1; object <= kObjects; ++object) {
+    while (object - 1 - acks.acks.load(std::memory_order_acquire) >= 256) {
+      std::this_thread::yield();
+    }
+    RegisterMessage m;
+    m.type = MsgType::kPutData;
+    m.op_id = object;
+    m.object = object;
+    m.tag = published;
+    m.value = grown_value(object);
+    net.send(writer, server_id, m.encode());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (acks.acks.load(std::memory_order_acquire) < kObjects &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  writing.store(false, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  net.stop();
+
+  EXPECT_EQ(acks.acks.load(), kObjects);
+  EXPECT_EQ(timeouts.load(), 0u);
+  EXPECT_EQ(bad_pair.load(), 0u);
+  EXPECT_EQ(missing_acked.load(), 0u);
+  EXPECT_GE(reads.load(), kReaders * 20);
+  EXPECT_GT(acked_reads.load(), 0u);
+  EXPECT_EQ(server.objects_known(), kObjects + 1);
 }
 
 TEST(ServerConfigTest, BuilderRejectsZeroShards) {
