@@ -32,11 +32,12 @@ struct TransportOptions {
   /// thread count is fixed at this value no matter how many endpoints are
   /// registered. 0 = auto (hardware concurrency clamped to [1, 4]).
   size_t loop_shards{0};
-  /// Handler (mailbox) threads: delivery contexts of all endpoints are
-  /// multiplexed onto this many MPSC-ring consumers (runtime/mailbox.h).
-  /// The per-(process, delivery-shard) serialization guarantee of
-  /// IProcess is preserved -- a context is pinned to one consumer -- but
-  /// the thread count no longer grows with the endpoint count.
+  /// Handler (mailbox) thread budget of the in-memory runtime
+  /// (runtime::ThreadNetwork); TcpNetwork does not use it, because its
+  /// handlers run to completion on the loop shards that own their
+  /// delivery contexts. ThreadNetwork today still runs one mailbox thread
+  /// per (process, delivery shard), so nothing reads the value yet; it is
+  /// kept, and validated by SystemConfig, so existing configs stay valid.
   /// 0 = auto (hardware concurrency clamped to [2, 8]).
   size_t mailbox_shards{0};
   /// Per-destination outbound queue cap in bytes (headers + payloads),
@@ -104,7 +105,7 @@ class IProcess {
   }
 
   /// Mailbox batch brackets. Transports that drain deliveries in batches
-  /// (runtime mailboxes, socknet consumer pools) call on_batch_begin(shard)
+  /// (runtime mailboxes, socknet loop shards) call on_batch_begin(shard)
   /// on `shard`'s delivery thread before a run of consecutive on_message
   /// calls for this process, and on_batch_end(shard) after the run -- both
   /// under exactly the same serialization guarantee as on_message itself.

@@ -92,7 +92,10 @@ uint64_t OpMux::start(std::unique_ptr<PendingOp> op, OpKind kind,
   raw->cur_timeout_ = policy.timeout;
   ops_.emplace(raw->op_id_, std::move(op));
   raw->send_request();
-  if (policy.timeout > 0) arm_timer(raw);
+  if (policy.timeout > 0) {
+    set_deadline(raw);
+    arm_timer();
+  }
   return raw->op_id_;
 }
 
@@ -129,40 +132,65 @@ std::unique_ptr<PendingOp> OpMux::detach(uint64_t op_id) {
   assert(it != ops_.end() && "detach of an op not in flight");
   std::unique_ptr<PendingOp> op = std::move(it->second);
   ops_.erase(it);
+  if (op->deadline_ != 0) deadlines_.erase({op->deadline_, op_id});
   return op;
 }
 
-void OpMux::arm_timer(PendingOp* op) {
-  const uint64_t gen = ++op->timer_gen_;
-  transport_->post_after(
-      self_, op->cur_timeout_,
-      [this, alive = alive_, id = op->op_id_, gen] {
-        if (!alive->load()) return;
-        on_timer(id, gen);
-      });
+void OpMux::set_deadline(PendingOp* op) {
+  if (op->deadline_ != 0) deadlines_.erase({op->deadline_, op->op_id_});
+  op->deadline_ = transport_->now() + op->cur_timeout_;
+  deadlines_.emplace(op->deadline_, op->op_id_);
 }
 
-void OpMux::on_timer(uint64_t op_id, uint64_t gen) {
-  auto it = ops_.find(op_id);
-  if (it == ops_.end()) return;  // completed before the deadline
-  PendingOp* op = it->second.get();
-  if (op->timer_gen_ != gen) return;  // a newer attempt superseded this timer
-  if (op->retries_ < op->policy_.max_retries) {
-    ++op->retries_;
-    ++retransmits_;
-    const double backoff = op->policy_.backoff < 1.0 ? 1.0 : op->policy_.backoff;
-    op->cur_timeout_ =
-        static_cast<TimeNs>(static_cast<double>(op->cur_timeout_) * backoff);
-    // Same op id on the wire: responses to the earlier attempt still count.
-    op->retransmit();
-    arm_timer(op);
-    return;
+void OpMux::arm_timer() {
+  if (deadlines_.empty()) return;
+  const TimeNs due = deadlines_.begin()->first;
+  const TimeNs now = transport_->now();
+  // A pending timer at or before `due` covers it -- unless that timer is
+  // overdue, which means the transport dropped it (a crashed process's
+  // timers do not fire); then arm a fresh one.
+  if (timer_armed_ && armed_due_ <= due && armed_due_ >= now) return;
+  timer_armed_ = true;
+  armed_due_ = due;
+  transport_->post_after(self_, due > now ? due - now : 0,
+                         [this, alive = alive_, due] {
+                           if (!alive->load()) return;
+                           on_timer(due);
+                         });
+}
+
+void OpMux::on_timer(TimeNs due) {
+  if (timer_armed_ && armed_due_ == due) timer_armed_ = false;
+  // on_timeout() runs the user's completion callback, which may destroy
+  // this mux; `alive` outlives it and ends the sweep.
+  const std::shared_ptr<std::atomic<bool>> alive = alive_;
+  const TimeNs now = transport_->now();
+  while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+    const uint64_t op_id = deadlines_.begin()->second;
+    deadlines_.erase(deadlines_.begin());
+    PendingOp* op = ops_.at(op_id).get();  // detach() erases the deadline
+    op->deadline_ = 0;
+    if (op->retries_ < op->policy_.max_retries) {
+      ++op->retries_;
+      ++retransmits_;
+      const double backoff =
+          op->policy_.backoff < 1.0 ? 1.0 : op->policy_.backoff;
+      op->cur_timeout_ =
+          static_cast<TimeNs>(static_cast<double>(op->cur_timeout_) * backoff);
+      // Same op id on the wire: responses to the earlier attempt still
+      // count.
+      op->retransmit();
+      set_deadline(op);
+      continue;
+    }
+    ++timeouts_;
+    op->timed_out_ = true;
+    // on_timeout() completes the op (detach + callback); it must be the
+    // last touch of `op`.
+    op->on_timeout();
+    if (!alive->load()) return;
   }
-  ++timeouts_;
-  op->timed_out_ = true;
-  // on_timeout() completes the op (detach + callback); it must be the last
-  // touch of `op`.
-  op->on_timeout();
+  arm_timer();
 }
 
 }  // namespace bftreg::registers

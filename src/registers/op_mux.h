@@ -35,7 +35,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "net/transport.h"
 #include "registers/config.h"
@@ -134,7 +136,9 @@ class PendingOp {
   uint32_t object_{0};
   TimeNs invoked_at_{0};
   uint32_t retries_{0};
-  uint64_t timer_gen_{0};
+  /// Current attempt's deadline in transport ns (0: none armed); keys the
+  /// op's entry in OpMux::deadlines_.
+  TimeNs deadline_{0};
   bool timed_out_{false};
   RetryPolicy policy_{};
   TimeNs cur_timeout_{0};
@@ -206,8 +210,13 @@ class OpMux final {
   friend class PendingOp;
 
   std::unique_ptr<PendingOp> detach(uint64_t op_id);
-  void arm_timer(PendingOp* op);
-  void on_timer(uint64_t op_id, uint64_t gen);
+  /// Sets `op`'s deadline to now + its current timeout.
+  void set_deadline(PendingOp* op);
+  /// Makes sure a transport timer is pending for the earliest deadline.
+  void arm_timer();
+  /// A transport timer armed for `due` fired: handles every missed
+  /// deadline, then re-arms for the next one.
+  void on_timer(TimeNs due);
   uint64_t allocate_op_id(OpKind kind, uint32_t object);
   /// The view advanced: re-issue every in-flight op that last sent under an
   /// older epoch. retransmit() never completes/detaches an op, so iterating
@@ -220,6 +229,16 @@ class OpMux final {
   ViewTracker view_{config_};
 
   std::unordered_map<uint64_t, std::unique_ptr<PendingOp>> ops_;
+  /// (deadline, op id) of every in-flight op that has a timeout. An op's
+  /// entry leaves with the op, so a completed operation holds no timer:
+  /// the transport sees one pending timer per mux (the earliest deadline),
+  /// not one per operation issued in the last timeout.
+  std::set<std::pair<TimeNs, uint64_t>> deadlines_;
+  /// Deadline of the transport timer pending for this mux, if any (a
+  /// re-arm for an earlier deadline can leave an older one pending too;
+  /// it fires as a no-op sweep).
+  bool timer_armed_{false};
+  TimeNs armed_due_{0};
   /// Namespace hash -> next sequence number (starts at 1; 0 is never used,
   /// so a wire id of 0 is never valid).
   std::unordered_map<uint32_t, uint32_t> next_seq_;

@@ -1,31 +1,33 @@
-// Lock-free delivery shard for the threaded transports.
+// Lock-free delivery queues for the real-time transports.
 //
-// A `MailboxShard` replaces the mutex+deque mailbox: producers (sender and
-// socket-reader threads) publish `MailItem`s into a bounded MPSC ring
-// (common/mpsc_ring.h) and the one consumer thread that owns the shard
-// drains them in batches. The mutex+CondVar pair survives only on the cold
-// paths: parking an idle consumer, and spilling items when the ring is full
-// (reliable channels must not drop, so overflow diverts to a guarded deque
-// instead of failing the send).
+// An `Inbox` is the consumer-agnostic core: producers (sender threads,
+// socket readers, other event-loop shards) publish `MailItem`s into a
+// bounded MPSC ring (common/mpsc_ring.h) and the one thread that owns the
+// inbox drains them in batches. A full ring spills to a mutex-guarded deque
+// instead of failing the push (reliable channels must not drop). The inbox
+// also carries the consumer's park handshake, but not the wait itself: a
+// `MailboxShard` (runtime::ThreadNetwork) parks on a condition variable,
+// a socknet::LoopShard parks in epoll_wait and is woken through an eventfd.
 //
-// Idle/wake handshake (the only seq_cst in the mailbox): a sleeping
-// consumer must not miss a push, and a producer must not futex-wake a
-// consumer that is busy draining. Classic store/load (Dekker) pattern:
+// Park/wake handshake (the only seq_cst in the inbox): a parking consumer
+// must not miss a push, and a producer must not wake a consumer that is
+// busy draining. Classic store/load (Dekker) pattern:
 //
-//   consumer                          producer
-//   idle_ = true          (relaxed)   ring push / overflow push
+//   consumer (try_park)               producer (push)
+//   parked_ = true        (relaxed)   ring push / overflow push + spilled_
 //   fence(seq_cst)                    fence(seq_cst)
-//   ring empty? overflow empty?       idle_ ?
-//   yes -> cv wait                    true -> lock mu_, notify
+//   ring empty? spilled_ clear?       parked_ ?
+//   yes -> may sleep                  true -> caller wakes the consumer
 //
 // The two seq_cst fences totally order each side's store before its load:
 // either the producer's push is visible to the consumer's emptiness check
-// (consumer does not sleep), or the consumer's idle_ store is visible to
-// the producer's load (producer notifies). The notify itself is taken
-// under mu_, which the consumer holds from before setting idle_ until
-// cv_.wait() releases it -- so a notify can never fall between the
-// consumer's last check and its wait. Steady-state traffic touches neither
-// mu_ nor the futex.
+// (the consumer does not sleep), or the consumer's parked_ store is visible
+// to the producer's load (the producer wakes it). Steady-state traffic
+// touches neither the spill mutex nor any wake syscall.
+//
+// `BatchBracket` is the one implementation of the IProcess batch-bracket
+// rule that every consumer shares: on_batch_begin/on_batch_end wrap each
+// run of consecutive deliveries to one (process, delivery shard) context.
 #pragma once
 
 #include <atomic>
@@ -39,10 +41,7 @@
 #include "common/mpsc_ring.h"
 #include "common/sync.h"
 #include "net/envelope.h"
-
-namespace bftreg::net {
-class IProcess;
-}
+#include "net/transport.h"
 
 namespace bftreg::runtime {
 
@@ -61,35 +60,162 @@ struct MailItem {
   uint32_t shard{0};
 };
 
-class MailboxShard {
+/// The batch bracket of one consumer thread. A bracket opens lazily before
+/// the first delivery to a (process, shard) context and closes when the
+/// next delivery belongs to another context, before a task runs, and at the
+/// end of every drained batch -- so a bracketed process never spans foreign
+/// work, and begin/end always pair on the consumer's thread.
+class BatchBracket {
+ public:
+  bool is_open() const { return open_ != nullptr; }
+  /// True when the open bracket is exactly (proc, shard).
+  bool open_on(const net::IProcess* proc, uint32_t shard) const {
+    return open_ == proc && open_shard_ == shard;
+  }
+
+  /// Delivers `env` inside (proc, shard)'s bracket, first closing a bracket
+  /// open on another context.
+  void deliver(net::IProcess* proc, uint32_t shard, const net::Envelope& env) {
+    if (open_ != nullptr && !open_on(proc, shard)) close();
+    if (open_ == nullptr) {
+      proc->on_batch_begin(shard);
+      open_ = proc;
+      open_shard_ = shard;
+    }
+    proc->on_message(env);
+  }
+
+  /// Closes the open bracket, if any.
+  void close() {
+    if (open_ == nullptr) return;
+    open_->on_batch_end(open_shard_);
+    open_ = nullptr;
+  }
+
+  /// Forgets the open bracket without calling on_batch_end (its process
+  /// crashed; the hooks are amortization-only by contract).
+  void abandon() { open_ = nullptr; }
+
+ private:
+  net::IProcess* open_{nullptr};
+  uint32_t open_shard_{0};
+};
+
+class Inbox {
  public:
   static constexpr size_t kDefaultRingCapacity = 1024;
 
-  explicit MailboxShard(size_t ring_capacity = kDefaultRingCapacity)
+  explicit Inbox(size_t ring_capacity = kDefaultRingCapacity)
       : ring_(ring_capacity) {}
+
+  Inbox(const Inbox&) = delete;
+  Inbox& operator=(const Inbox&) = delete;
+
+  struct Pushed {
+    /// The ring was full and the item went to the overflow deque (callers
+    /// count it in their transport metrics).
+    bool spilled{false};
+    /// The consumer is parked or about to park: the caller must wake it.
+    bool wake{false};
+  };
+
+  /// Producer side; any thread. Never drops.
+  Pushed push(MailItem&& item) {
+    Pushed out;
+    if (!ring_.try_push(item)) {
+      MutexLock lock(spill_mu_);
+      overflow_.push_back(std::move(item));
+      spilled_.store(true, std::memory_order_relaxed);
+      out.spilled = true;
+    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // parked_ is only set by a consumer that found the inbox empty, so
+    // this asks for one wake per sleep, not one per item.
+    out.wake = parked_.load(std::memory_order_relaxed);
+    return out;
+  }
+
+  /// Consumer side; owning thread only. Invokes `fn(item)` on what is
+  /// queued now -- up to one ring lap, then the overflow spill -- and
+  /// returns how many items it handled. Never blocks.
+  template <typename Fn>
+  size_t consume(Fn&& fn) {
+    size_t handled = ring_.consume_batch(fn, ring_.capacity());
+    if (spilled_.load(std::memory_order_acquire)) {
+      // Move spilled items out before invoking handlers: fn may push into
+      // this inbox again, which can take spill_mu_.
+      std::vector<MailItem> spill;
+      {
+        MutexLock lock(spill_mu_);
+        while (!overflow_.empty()) {
+          spill.push_back(std::move(overflow_.front()));
+          overflow_.pop_front();
+        }
+        spilled_.store(false, std::memory_order_relaxed);
+      }
+      for (MailItem& item : spill) fn(item);
+      handled += spill.size();
+    }
+    return handled;
+  }
+
+  /// Consumer side: the first half of parking. Publishes the intent to
+  /// sleep and re-checks the queues; returns true when the consumer may
+  /// sleep (a producer that pushes from now on sees `wake`), false -- with
+  /// the intent withdrawn -- when work is already queued. A successful
+  /// try_park must be followed by unpark() once the consumer is awake.
+  bool try_park() {
+    parked_.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!ring_.empty() || spilled_.load(std::memory_order_relaxed)) {
+      parked_.store(false, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  }
+
+  void unpark() { parked_.store(false, std::memory_order_relaxed); }
+
+  /// Destroys every queued item without running it, releasing what the
+  /// items hold (payload chunks, closure captures). Consumer side, for use
+  /// after the consumer has stopped.
+  void discard() {
+    consume([](MailItem&) {});
+  }
+
+ private:
+  common::MpscRing<MailItem> ring_;
+  Mutex spill_mu_;
+  std::deque<MailItem> overflow_ GUARDED_BY(spill_mu_);
+  /// Set under spill_mu_ by a spilling producer, cleared under spill_mu_
+  /// by the consumer once it moved the overflow out; the lock-free load in
+  /// consume() only decides whether to bother taking the lock.
+  std::atomic<bool> spilled_{false};
+  std::atomic<bool> parked_{false};
+};
+
+/// An Inbox drained by a dedicated thread that parks on a condition
+/// variable: one delivery shard of one runtime::ThreadNetwork process.
+class MailboxShard {
+ public:
+  explicit MailboxShard(size_t ring_capacity = Inbox::kDefaultRingCapacity)
+      : inbox_(ring_capacity) {}
 
   MailboxShard(const MailboxShard&) = delete;
   MailboxShard& operator=(const MailboxShard&) = delete;
 
-  /// Producer side; any thread. Never drops. Returns true when the ring
-  /// was full and the item spilled to the overflow deque (callers count it
-  /// in their transport metrics).
+  /// Producer side; any thread. Never drops. Returns true when the item
+  /// spilled to the overflow deque.
   bool push_item(MailItem&& item) {
-    bool spilled = false;
-    if (!ring_.try_push(item)) {
-      MutexLock lock(mu_);
-      overflow_.push_back(std::move(item));
-      spilled_.store(true, std::memory_order_release);
-      spilled = true;
-    }
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (idle_.load(std::memory_order_relaxed)) {
-      // Transition wake: idle_ is only set by a consumer that found both
-      // queues empty, so this fires once per sleep, not once per message.
+    const Inbox::Pushed pushed = inbox_.push(std::move(item));
+    if (pushed.wake) {
+      // Taken under mu_, which the consumer holds from try_park() until
+      // cv_.wait() releases it: the notify cannot fall between the
+      // consumer's last emptiness check and its wait.
       MutexLock lock(mu_);
       cv_.notify_one();
     }
-    return spilled;
+    return pushed.spilled;
   }
 
   /// Consumer side; single thread only. Invokes `fn(item)` on the next
@@ -100,24 +226,7 @@ class MailboxShard {
   bool pop_wait_consume(Fn&& fn) {
     bool yielded = false;
     for (;;) {
-      size_t handled = ring_.consume_batch(fn, ring_.capacity());
-      if (spilled_.load(std::memory_order_acquire)) {
-        // Move spilled items out before invoking handlers: fn may send,
-        // and sending can take another shard's mu_ -- never nest that
-        // under ours.
-        std::vector<MailItem> spill;
-        {
-          MutexLock lock(mu_);
-          while (!overflow_.empty()) {
-            spill.push_back(std::move(overflow_.front()));
-            overflow_.pop_front();
-          }
-          spilled_.store(false, std::memory_order_relaxed);
-        }
-        for (MailItem& item : spill) fn(item);
-        handled += spill.size();
-      }
-      if (handled > 0) return true;
+      if (inbox_.consume(fn) > 0) return true;
 
       // One yield before parking: on a loaded box the producer that is
       // about to feed us is often runnable on this core right now, and
@@ -130,40 +239,29 @@ class MailboxShard {
       }
 
       MutexLock lock(mu_);
-      idle_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (!ring_.empty() || !overflow_.empty()) {
-        idle_.store(false, std::memory_order_relaxed);
-        continue;
-      }
-      if (stopped_.load(std::memory_order_acquire)) {
-        idle_.store(false, std::memory_order_relaxed);
+      if (!inbox_.try_park()) continue;
+      if (stopped_) {
+        inbox_.unpark();
         return false;
       }
       cv_.wait(lock);
-      idle_.store(false, std::memory_order_relaxed);
+      inbox_.unpark();
     }
   }
 
   /// Unblocks the consumer; pop_wait keeps returning batches until the
   /// shard is fully drained, then returns false. Idempotent; any thread.
   void stop() {
-    stopped_.store(true, std::memory_order_release);
     MutexLock lock(mu_);
+    stopped_ = true;
     cv_.notify_all();
   }
 
  private:
-  common::MpscRing<MailItem> ring_;
+  Inbox inbox_;
   Mutex mu_;
   CondVar cv_;
-  std::deque<MailItem> overflow_ GUARDED_BY(mu_);
-  /// Set under mu_ by a spilling producer, cleared under mu_ by the
-  /// consumer; the lock-free acquire load in pop_wait only decides whether
-  /// to bother taking the lock.
-  std::atomic<bool> spilled_{false};
-  std::atomic<bool> idle_{false};
-  std::atomic<bool> stopped_{false};
+  bool stopped_ GUARDED_BY(mu_){false};
 };
 
 }  // namespace bftreg::runtime

@@ -171,41 +171,29 @@ void ThreadNetwork::mailbox_loop(Mailbox* box, MailboxShard* shard,
   // calling on_batch_end: the hooks are amortization-only by contract, and
   // a revived/replaced process flushes whatever the abandoned bracket left
   // pending at its next batch (indistinguishable from network delay).
-  net::IProcess* open = nullptr;
-  uint32_t open_shard = 0;
-  auto close_batch = [box, active, &open, &open_shard] {
-    if (open == nullptr) return;
+  BatchBracket bracket;
+  auto close_batch = [box, active, &bracket] {
+    if (!bracket.is_open()) return;
     active->fetch_add(1, std::memory_order_seq_cst);
-    if (!box->crashed.load(std::memory_order_seq_cst)) {
-      open->on_batch_end(open_shard);
+    if (box->crashed.load(std::memory_order_seq_cst)) {
+      bracket.abandon();
+    } else {
+      bracket.close();
     }
     active->fetch_sub(1, std::memory_order_release);
-    open = nullptr;
   };
-  auto handle = [box, active, &open, &open_shard](MailItem& item) {
+  auto handle = [box, active, &bracket](MailItem& item) {
     active->fetch_add(1, std::memory_order_seq_cst);
     if (!box->crashed.load(std::memory_order_seq_cst)) {
       if (item.proc != nullptr) {
-        net::IProcess* proc = box->process.load(std::memory_order_acquire);
-        if (open != nullptr && (open != proc || open_shard != item.shard)) {
-          open->on_batch_end(open_shard);
-          open = nullptr;
-        }
-        if (open == nullptr) {
-          proc->on_batch_begin(item.shard);
-          open = proc;
-          open_shard = item.shard;
-        }
-        proc->on_message(item.env);
+        bracket.deliver(box->process.load(std::memory_order_acquire),
+                        item.shard, item.env);
       } else if (item.fn) {
-        if (open != nullptr) {
-          open->on_batch_end(open_shard);
-          open = nullptr;
-        }
+        bracket.close();
         item.fn();
       }
     } else {
-      open = nullptr;  // crashed: abandon any bracket, never re-enter
+      bracket.abandon();  // crashed: never re-enter the bracket
     }
     active->fetch_sub(1, std::memory_order_release);
   };

@@ -14,8 +14,9 @@
 // consumer parks idle or a full ring spills to the overflow deque.
 //
 // Locking map (statically checked under clang -Wthread-safety):
-//   * each MailboxShard's internal mu guards its overflow deque and parks
-//     its idle consumer (see runtime/mailbox.h for the wake handshake);
+//   * each MailboxShard's inbox guards its overflow deque with a spill
+//     mutex, and the shard parks its idle consumer on its own mu/cv pair
+//     (see runtime/mailbox.h for the wake handshake);
 //   * sched_mu_ guards the delayed-delivery priority queue.
 //   * rng_mu_ guards the delay-model RNG (senders draw delays concurrently).
 // boxes_ itself is written only before start() and is read-only afterwards,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <latch>
 #include <utility>
 
 #include "net/transport.h"
@@ -44,55 +45,99 @@ TimeNs LoopShard::mono_now() {
           .count());
 }
 
+namespace {
+/// The shard whose loop runs on this thread (null off the loop threads).
+thread_local const LoopShard* tls_shard = nullptr;
+}  // namespace
+
 void LoopShard::start() {
-  assert(!running_.load());
+  assert(!running_.load(std::memory_order_relaxed));
+  fds_cleared_ = false;  // the thread is not running: nothing races this
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { loop(); });
 }
 
 void LoopShard::stop() {
-  if (!running_.exchange(false)) return;
-  assert(!on_loop_thread() && "stop() from the loop thread would self-join");
+  request_stop();
+  join();
+}
+
+void LoopShard::request_stop() {
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   const uint64_t one = 1;
   [[maybe_unused]] ssize_t w = ::write(wake_fd_, &one, sizeof(one));
-  if (thread_.joinable()) thread_.join();
 }
 
-bool LoopShard::on_loop_thread() const {
-  return thread_.joinable() && std::this_thread::get_id() == thread_.get_id();
+void LoopShard::join() {
+  if (!thread_.joinable()) return;
+  assert(!on_loop_thread() && "join() from the loop thread would self-join");
+  thread_.join();
+  inbox_.discard();
 }
+
+bool LoopShard::on_loop_thread() const { return tls_shard == this; }
 
 void LoopShard::wake() {
-  // Sleep/wake handshake: the eventfd syscall is only needed when the loop
-  // is parked (or parking) in epoll_wait. A busy loop re-checks the queues
-  // under mu_ before it next parks, so enqueue-then-see-!polling_ means the
-  // task is guaranteed to be drained without any wake. When it *is*
-  // parked, coalesce: one unconsumed eventfd write is enough.
-  if (!polling_.load(std::memory_order_acquire)) return;
+  // Only called when the inbox reported the loop parked (or parking) in
+  // epoll_wait. Coalesce: one unconsumed eventfd write is enough.
   if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
   const uint64_t one = 1;
   [[maybe_unused]] ssize_t w = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void LoopShard::post(std::function<void()> fn) {
-  {
-    MutexLock lock(mu_);
-    tasks_.push_back(std::move(fn));
+bool LoopShard::push(runtime::MailItem&& item) {
+  const runtime::Inbox::Pushed pushed = inbox_.push(std::move(item));
+  if (pushed.wake) wake();
+  return pushed.spilled;
+}
+
+bool LoopShard::deliver(net::IProcess* proc, uint32_t shard,
+                        net::Envelope&& env) {
+  if (on_loop_thread()) {
+    // Inside an fd callback that is still parsing its connection: a
+    // context switch only closes the bracket. The deferred flushes wait
+    // for the callback's end of turn, since a flush that fails a
+    // connection destroys it.
+    bracket_.deliver(proc, shard, env);
+    return false;
   }
-  wake();
+  return push(runtime::MailItem{proc, std::move(env), nullptr, shard});
+}
+
+void LoopShard::end_turn() {
+  bracket_.close();
+  run_deferred();
+}
+
+void LoopShard::defer(std::function<void()> fn) {
+  assert(on_loop_thread());
+  deferred_.push_back(std::move(fn));
+}
+
+void LoopShard::run_deferred() {
+  // Index loop: a deferred closure may defer more (appending), and moving
+  // each closure out before the call keeps it valid across a reallocation.
+  for (size_t i = 0; i < deferred_.size(); ++i) {
+    std::function<void()> fn = std::move(deferred_[i]);
+    fn();
+  }
+  deferred_.clear();
 }
 
 void LoopShard::run_after(TimeNs delta_ns, std::function<void()> fn) {
-  {
-    MutexLock lock(mu_);
-    new_timers_.push_back(Timer{mono_now() + delta_ns, 0, std::move(fn)});
+  const TimeNs due = mono_now() + delta_ns;
+  if (on_loop_thread()) {
+    add_timer(due, std::move(fn));
+    return;
   }
-  // Wake so the loop recomputes its epoll timeout against the new deadline.
-  wake();
+  // Through the inbox, so the loop's park check covers new timers too and
+  // recomputes its epoll timeout against the new deadline.
+  post([this, due, fn = std::move(fn)]() mutable { add_timer(due, std::move(fn)); });
 }
 
 void LoopShard::add_fd(int fd, uint32_t events, FdHandler handler) {
   assert(on_loop_thread());
+  if (fds_cleared_) return;
   handlers_[fd] = std::make_shared<FdHandler>(std::move(handler));
   epoll_event ev{};
   ev.events = events;
@@ -103,6 +148,7 @@ void LoopShard::add_fd(int fd, uint32_t events, FdHandler handler) {
 
 void LoopShard::mod_fd(int fd, uint32_t events) {
   assert(on_loop_thread());
+  if (fds_cleared_) return;
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -121,38 +167,45 @@ bool LoopShard::has_fd(int fd) const {
   return handlers_.count(fd) != 0;
 }
 
-bool LoopShard::drain_tasks() {
-  // Re-arm wake() BEFORE swapping the queue: a post() that lands after this
-  // store is either included in the swap below (its wake was spurious) or
-  // arrives later and issues a fresh eventfd write -- either way the loop
-  // cannot park with work queued.
-  wake_pending_.store(false, std::memory_order_release);
-  // Swap the whole queue out so task bodies (which may post more tasks,
-  // even to this shard) never run under mu_.
-  std::deque<std::function<void()>> tasks;
-  {
-    MutexLock lock(mu_);
-    tasks.swap(tasks_);
+void LoopShard::clear_fds() {
+  assert(on_loop_thread());
+  for (const auto& [fd, handler] : handlers_) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   }
-  for (auto& fn : tasks) fn();
-  return !tasks.empty();
+  handlers_.clear();
+  fds_cleared_ = true;
+}
+
+size_t LoopShard::drain_inbox() {
+  const size_t handled = inbox_.consume([this](runtime::MailItem& item) {
+    if (item.proc != nullptr) {
+      // A context switch ends the previous context's turn, so its replies
+      // (sent from on_batch_end) flush before the next context runs.
+      if (!bracket_.open_on(item.proc, item.shard)) end_turn();
+      bracket_.deliver(item.proc, item.shard, item.env);
+      return;
+    }
+    end_turn();
+    if (item.fn) item.fn();
+    run_deferred();
+  });
+  end_turn();
+  return handled;
+}
+
+namespace {
+/// Min-heap order on (due, seq) for std::push_heap/pop_heap.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+};
+}  // namespace
+
+void LoopShard::add_timer(TimeNs due, std::function<void()> fn) {
+  heap_.push_back(Timer{due, ++timer_seq_, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), kLater);
 }
 
 int LoopShard::run_timers() {
-  {
-    MutexLock lock(mu_);
-    for (auto& t : new_timers_) {
-      t.seq = ++timer_seq_;
-      heap_.push_back(std::move(t));
-      std::push_heap(heap_.begin(), heap_.end(), [](const Timer& a, const Timer& b) {
-        return a.due != b.due ? a.due > b.due : a.seq > b.seq;
-      });
-    }
-    new_timers_.clear();
-  }
-  const auto later = [](const Timer& a, const Timer& b) {
-    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
-  };
   for (;;) {
     if (heap_.empty()) return -1;
     const TimeNs now = mono_now();
@@ -161,48 +214,50 @@ int LoopShard::run_timers() {
       const TimeNs wait_ms = (heap_.front().due - now + 999'999) / 1'000'000;
       return static_cast<int>(std::min<TimeNs>(wait_ms, 60'000));
     }
-    std::pop_heap(heap_.begin(), heap_.end(), later);
+    std::pop_heap(heap_.begin(), heap_.end(), kLater);
     Timer t = std::move(heap_.back());
     heap_.pop_back();
     t.fn();
+    run_deferred();
   }
 }
 
 void LoopShard::loop() {
+  tls_shard = this;
   epoll_event evs[kMaxEvents];
   bool yielded = false;
   while (running_.load(std::memory_order_acquire)) {
-    const bool ran_tasks = drain_tasks();
+    // Re-arm wake() BEFORE draining: a push that lands after this store is
+    // either drained below (its wake was spurious) or arrives later and
+    // issues a fresh eventfd write -- either way the loop cannot park with
+    // work queued.
+    wake_pending_.store(false, std::memory_order_release);
+    const bool ran_items = drain_inbox() > 0;
     const int timeout_ms = run_timers();
     // Non-blocking poll first: under load the next readiness is usually
     // already here and the park/wake machinery below never runs.
     int n = ::epoll_wait(epoll_fd_, evs, kMaxEvents, 0);
-    if (n == 0 && !ran_tasks) {
+    if (n == 0 && !ran_items) {
       // Nothing at all this pass. Yield once before parking: on a loaded
-      // single-core box the thread about to feed us (a mailbox consumer
-      // mid-handler) is runnable right now, and letting it run turns a
-      // park + eventfd wake + context switch into a plain reschedule
-      // (same heuristic as runtime/mailbox.h pop_wait_consume).
+      // box the thread about to feed us (another shard mid-write to one of
+      // our sockets, or a client thread posting) is often runnable right
+      // now, and letting it run turns a park + eventfd wake + context
+      // switch into a plain reschedule.
       if (!yielded) {
         yielded = true;
         std::this_thread::yield();
         continue;
       }
-      // Park protocol: publish the intent to sleep, then re-check the task
-      // and timer queues under mu_. A poster that enqueued after the drain
-      // above but saw polling_ == false skipped its wake -- this re-check
-      // is what makes that safe (mu_'s acquire/release pairs with the
-      // poster's enqueue; the seq_cst store orders it before the reads).
-      polling_.store(true, std::memory_order_seq_cst);
-      bool queued;
-      {
-        MutexLock lock(mu_);
-        queued = !tasks_.empty() || !new_timers_.empty();
+      // Park protocol (runtime/mailbox.h): publish the intent to sleep and
+      // re-check the inbox. A producer that pushed before the intent was
+      // visible is seen here; one that pushes after sees it and wakes us.
+      // Timers added on this thread were merged by run_timers above.
+      if (inbox_.try_park()) {
+        n = ::epoll_wait(epoll_fd_, evs, kMaxEvents, timeout_ms);
+        inbox_.unpark();
       }
-      n = ::epoll_wait(epoll_fd_, evs, kMaxEvents, queued ? 0 : timeout_ms);
-      polling_.store(false, std::memory_order_release);
     }
-    if (n != 0 || ran_tasks) yielded = false;
+    if (n != 0 || ran_items) yielded = false;
     if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < std::max(n, 0); ++i) {
       const int fd = evs[i].data.fd;
@@ -218,12 +273,14 @@ void LoopShard::loop() {
       // Keep the closure alive across the call even if it del_fd()s itself.
       std::shared_ptr<FdHandler> h = it->second;
       (*h)(evs[i].events);
+      end_turn();
     }
   }
-  // Final drain: stop() posts rundown work (e.g. outbox flushes) before
-  // flipping running_; run what is already queued, then exit. Timers are
-  // dropped by contract.
-  drain_tasks();
+  // Final drain: run what is already queued, then exit. Timers are dropped
+  // by contract.
+  drain_inbox();
+  heap_.clear();
+  tls_shard = nullptr;
 }
 
 // --- EventLoop -------------------------------------------------------------
@@ -239,8 +296,26 @@ void EventLoop::start() {
   for (auto& s : shards_) s->start();
 }
 
-void EventLoop::stop() {
-  for (auto& s : shards_) s->stop();
+void EventLoop::stop(const std::function<void(size_t shard)>& rundown) {
+  assert(!on_loop_thread() && "stop() from a loop thread would self-join");
+  // Phase 1: quiesce the wire on every shard before any shard exits.
+  size_t live = 0;
+  for (const auto& s : shards_) live += s->running() ? 1 : 0;
+  // Shared, not on this stack: a shard may still be inside count_down()
+  // when the wait below returns.
+  auto quiesced = std::make_shared<std::latch>(static_cast<std::ptrdiff_t>(live));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!shards_[s]->running()) continue;
+    shards_[s]->post([this, s, &rundown, quiesced] {
+      shards_[s]->clear_fds();
+      rundown(s);
+      quiesced->count_down();
+    });
+  }
+  quiesced->wait();
+  // Phases 2 and 3.
+  for (auto& s : shards_) s->request_stop();
+  for (auto& s : shards_) s->join();
 }
 
 size_t EventLoop::shard_of(const ProcessId& pid) const {
@@ -255,78 +330,9 @@ size_t EventLoop::shard_of(const ProcessId& pid) const {
   return fnv1a64(key, sizeof(key)) % shards_.size();
 }
 
-size_t EventLoop::next_conn_shard() {
-  return conn_rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-}
-
 bool EventLoop::on_loop_thread() const {
   for (const auto& s : shards_) {
     if (s->on_loop_thread()) return true;
-  }
-  return false;
-}
-
-// --- MailboxPool -----------------------------------------------------------
-
-MailboxPool::MailboxPool(size_t shards) {
-  shards_.reserve(std::max<size_t>(shards, 1));
-  for (size_t i = 0; i < std::max<size_t>(shards, 1); ++i) {
-    shards_.push_back(std::make_unique<runtime::MailboxShard>());
-  }
-}
-
-void MailboxPool::start() {
-  threads_.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    runtime::MailboxShard* s = shard.get();
-    threads_.emplace_back([s] {
-      // Batch brackets (IProcess::on_batch_begin/end), keyed on the item's
-      // (process, delivery-shard): unlike the per-process runtime mailbox,
-      // one pool consumer multiplexes contexts of several processes, so a
-      // bracket closes whenever the next item belongs to a different
-      // context (or is a task), and at the end of every drained batch.
-      net::IProcess* open = nullptr;
-      uint32_t open_shard = 0;
-      auto close_batch = [&open, &open_shard] {
-        if (open == nullptr) return;
-        open->on_batch_end(open_shard);
-        open = nullptr;
-      };
-      auto handle = [&open, &open_shard, &close_batch](runtime::MailItem& item) {
-        if (item.proc != nullptr) {
-          if (open != nullptr && (open != item.proc || open_shard != item.shard)) {
-            close_batch();
-          }
-          if (open == nullptr) {
-            item.proc->on_batch_begin(item.shard);
-            open = item.proc;
-            open_shard = item.shard;
-          }
-          item.proc->on_message(item.env);
-        } else {
-          close_batch();
-          if (item.fn) item.fn();
-        }
-      };
-      while (s->pop_wait_consume(handle)) {
-        close_batch();
-      }
-    });
-  }
-}
-
-void MailboxPool::stop() {
-  for (auto& shard : shards_) shard->stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-}
-
-bool MailboxPool::on_pool_thread() const {
-  const auto self = std::this_thread::get_id();
-  for (const auto& t : threads_) {
-    if (t.joinable() && self == t.get_id()) return true;
   }
   return false;
 }

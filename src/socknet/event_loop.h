@@ -1,54 +1,52 @@
 // Sharded event loop: the thread model of the TCP transport.
 //
-// A `LoopShard` is one epoll set driven by one thread. Everything the old
-// transport did with dedicated per-endpoint threads -- blocking writers,
-// per-endpoint readers, one global timer thread -- is expressed against
-// this surface instead:
+// A `LoopShard` is one epoll set driven by one thread, and it runs
+// everything the transport does to completion on that thread:
 //
 //   * file descriptors: add_fd/mod_fd/del_fd register a callback per fd;
 //     the loop thread invokes it with the ready epoll event mask. Readers
 //     parse on readiness, writers arm EPOLLOUT on partial writes and
 //     disarm when drained -- no thread ever blocks in a socket call.
-//   * tasks: post() enqueues a closure from any thread (eventfd wake);
-//     the loop thread runs it before the next epoll_wait. This is how
-//     other threads hand fds and flush work to the owning shard.
+//   * deliveries: each (process, delivery shard) context is owned by one
+//     loop shard. A frame parsed on the owning shard is handled inline; a
+//     frame parsed elsewhere, and every post()ed task, goes through the
+//     shard's inbox (runtime/mailbox.h), a lock-free MPSC ring the loop
+//     drains at the top of each pass.
 //   * timers: run_after() schedules a closure on the shard's timer heap;
-//     the epoll_wait timeout is derived from the nearest deadline. This
-//     absorbs the old dedicated timer thread.
+//     the epoll_wait timeout is derived from the nearest deadline.
+//   * deferred work: defer() queues a closure (the transport's flushes) to
+//     run when the current turn ends, so a burst of handlers never holds
+//     back the shard's own writes for longer than one turn.
+//
+// A *turn* is one fd callback (with every delivery it makes inline), one
+// task, one timer fire, or one run of consecutive inbox deliveries to a
+// single context (its on_batch_begin/end bracket). Every turn ends by
+// closing the open bracket and running what was deferred during it.
 //
 // `EventLoop` is the pool: N shards, started and stopped together. The
 // shard count is fixed at construction (net::TransportOptions::loop_shards)
 // and *independent of how many endpoints or connections exist* -- that is
 // the point. Work is distributed by hashing: an endpoint's home shard is
-// hash(pid) % N (stable for the endpoint's lifetime; asserted by tests),
-// and accepted connections are spread round-robin so one hot server's
-// client fleet does not serialize behind a single thread.
+// hash(pid) % N (stable for the endpoint's lifetime; asserted by tests).
 //
 // Threading contract:
-//   * post()/run_after() are thread-safe.
-//   * add_fd/mod_fd/del_fd must be called on the shard's own thread
+//   * post()/push()/run_after() are thread-safe and never block.
+//   * add_fd/mod_fd/del_fd/defer must be called on the shard's own thread
 //     (post() a task to get there). Asserted in debug builds.
 //   * handlers run on the shard thread, one at a time; a handler may
-//     add/del fds of its own shard, including the one it fired for.
-//
-// `MailboxPool` is the matching consolidation of handler threads: a fixed
-// set of MPSC-ring consumers (runtime/mailbox.h) onto which the transport
-// multiplexes every (process, delivery-shard) context. One context maps to
-// exactly one consumer, so the IProcess serialization guarantee holds; the
-// thread count stops scaling with the endpoint count.
+//     add/del fds of its own shard, including the one it fired for. A
+//     handler that blocks stalls every socket of its shard.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/sync.h"
 #include "common/types.h"
 #include "runtime/mailbox.h"
 
@@ -67,21 +65,42 @@ class LoopShard {
   LoopShard& operator=(const LoopShard&) = delete;
 
   void start();
-  /// Runs every already-posted task, drops pending timers (the transport
-  /// contract: timers pending at shutdown are dropped), and joins the
-  /// thread. Registered fds are NOT closed -- their owner reclaims them
-  /// after the join, when nothing can race the close.
+  /// request_stop() then join(): runs what the inbox holds, drops pending
+  /// timers (the transport contract), and joins the thread. Registered fds
+  /// are NOT closed -- their owner reclaims them after the join, when
+  /// nothing can race the close.
   void stop();
+  /// Asks the loop to exit after draining its inbox once more. Any thread.
+  void request_stop();
+  /// Joins the loop thread, then destroys whatever a late push left in the
+  /// inbox without running it.
+  void join();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   bool on_loop_thread() const;
 
   /// Enqueues `fn` to run on the loop thread. Thread-safe; never blocks.
-  void post(std::function<void()> fn);
+  void post(std::function<void()> fn) {
+    push(runtime::MailItem{nullptr, {}, std::move(fn)});
+  }
+
+  /// Enqueues a delivery or task item. Thread-safe; never blocks. Returns
+  /// true when the ring was full and the item spilled.
+  bool push(runtime::MailItem&& item);
+
+  /// Delivers `env` to the (proc, shard) context this loop owns. From the
+  /// loop thread -- an fd callback, never a handler -- the handler runs
+  /// inline inside the context's batch bracket; from any other thread the
+  /// item goes through the inbox. Returns true when the item spilled.
+  bool deliver(net::IProcess* proc, uint32_t shard, net::Envelope&& env);
 
   /// Runs `fn` on the loop thread no earlier than `delta_ns` from now.
   /// Thread-safe. Pending timers are dropped at stop().
   void run_after(TimeNs delta_ns, std::function<void()> fn);
+
+  /// Runs `fn` on the loop thread when the current turn ends. Loop thread
+  /// only.
+  void defer(std::function<void()> fn);
 
   // --- fd registration (loop thread only) ---------------------------------
 
@@ -92,6 +111,10 @@ class LoopShard {
   /// are skipped.
   void del_fd(int fd);
   bool has_fd(int fd) const;
+  /// Unregisters every fd (stop-time: no more reads or accepts). Until the
+  /// next start(), add_fd/mod_fd are then ignored, so work still draining
+  /// (a flush, a redial) cannot re-arm a socket.
+  void clear_fds();
 
  private:
   struct Timer {
@@ -101,42 +124,45 @@ class LoopShard {
   };
 
   void loop();
-  /// Runs every queued task; returns true when at least one ran (progress
-  /// signal for the park heuristic in loop()).
-  bool drain_tasks();
-  /// Kicks the loop out of epoll_wait. Coalesced: between two drains only
+  /// Runs one pass over the inbox; returns the number of items handled
+  /// (progress signal for the park heuristic in loop()).
+  size_t drain_inbox();
+  /// Closes the open batch bracket and runs the deferred work.
+  void end_turn();
+  void run_deferred();
+  /// Kicks the loop out of epoll_wait. Coalesced: between two passes only
   /// the first caller pays the eventfd write syscall; later callers see
   /// wake_pending_ already set and return immediately.
   void wake();
-  /// Merges newly posted timers, fires the due ones, and returns the
-  /// epoll_wait timeout (ms) until the next deadline (-1 = none).
+  void add_timer(TimeNs due, std::function<void()> fn);
+  /// Fires the due timers and returns the epoll_wait timeout (ms) until
+  /// the next deadline (-1 = none).
   int run_timers();
   static TimeNs mono_now();
 
   int epoll_fd_{-1};
   int wake_fd_{-1};
-  std::thread thread_;
   std::atomic<bool> running_{false};
   /// True while a wake has been issued that the loop has not yet consumed
-  /// (cleared at the top of drain_tasks, before the task swap, so a post
-  /// landing after the clear either joins the in-progress swap or issues a
+  /// (cleared at the top of every pass, before the inbox drain, so a push
+  /// landing after the clear either is drained by that pass or issues a
   /// fresh -- at worst spurious -- wake; a wake is never lost).
   std::atomic<bool> wake_pending_{false};
-  /// True only while the loop is parked (or about to park) in epoll_wait.
-  /// wake() skips the eventfd syscall entirely when this is false: the
-  /// loop is busy and rechecks the queues under mu_ before it next parks
-  /// (sleep/wake handshake, same shape as runtime/mailbox.h). On the
-  /// 1-CPU ping-pong path this removes two syscalls per flush cycle.
-  std::atomic<bool> polling_{false};
 
-  Mutex mu_;
-  std::deque<std::function<void()>> tasks_ GUARDED_BY(mu_);
-  std::vector<Timer> new_timers_ GUARDED_BY(mu_);
+  /// Deliveries and tasks from other threads. Its park handshake decides
+  /// whether a producer must wake the loop: only when the loop is parked
+  /// (or about to park) in epoll_wait.
+  runtime::Inbox inbox_;
 
   // Loop-thread private.
+  runtime::BatchBracket bracket_;
+  std::vector<std::function<void()>> deferred_;
   std::map<int, std::shared_ptr<FdHandler>> handlers_;
+  bool fds_cleared_{false};
   std::vector<Timer> heap_;  // min-heap on (due, seq)
   uint64_t timer_seq_{0};
+
+  std::thread thread_;
 };
 
 /// Fixed pool of LoopShards plus the hashing that assigns work to them.
@@ -145,52 +171,28 @@ class EventLoop {
   explicit EventLoop(size_t shards);
 
   void start();
-  void stop();
+  /// Stops every shard in phases, so that no shard pushes into the inbox of
+  /// one that already exited:
+  ///   1. each shard unregisters its fds -- no more reads, accepts or
+  ///      deliveries from the wire -- and runs `rundown(shard)` on its own
+  ///      thread; stop() waits until every shard has;
+  ///   2. each shard drains its inbox once more and exits;
+  ///   3. every thread is joined, and what a late cross-shard post left in
+  ///      an inbox is destroyed unrun (like a timer pending at shutdown).
+  /// External threads only (it joins the shards).
+  void stop(const std::function<void(size_t shard)>& rundown);
 
   size_t size() const { return shards_.size(); }
   LoopShard& shard(size_t idx) { return *shards_[idx]; }
 
   /// Stable home shard for an endpoint: hash(pid) % size(). Listeners,
-  /// dialed connections, and timers of the endpoint live here.
+  /// connections, timers and delivery context 0 of the endpoint live here.
   size_t shard_of(const ProcessId& pid) const;
-
-  /// Spreads accepted connections across shards (round-robin), so inbound
-  /// load of one hot endpoint is not pinned to its home shard.
-  size_t next_conn_shard();
 
   bool on_loop_thread() const;
 
  private:
   std::vector<std::unique_ptr<LoopShard>> shards_;
-  std::atomic<uint64_t> conn_rr_{0};
-};
-
-/// Fixed pool of mailbox consumers. Contexts (one per process delivery
-/// shard) are assigned round-robin at registration time, so distinct
-/// delivery shards of one process land on distinct consumers whenever the
-/// pool is at least as large as the process's shard count.
-class MailboxPool {
- public:
-  explicit MailboxPool(size_t shards);
-
-  void start();
-  /// Drains every shard, then joins the consumer threads. Idempotent.
-  void stop();
-
-  size_t size() const { return shards_.size(); }
-
-  /// Assigns the next context to a consumer; returns its index. Call
-  /// before start() (registration time), like Transport::add_process.
-  size_t assign_context() { return next_assign_++ % shards_.size(); }
-
-  runtime::MailboxShard& shard(size_t idx) { return *shards_[idx]; }
-
-  bool on_pool_thread() const;
-
- private:
-  std::vector<std::unique_ptr<runtime::MailboxShard>> shards_;
-  std::vector<std::thread> threads_;
-  size_t next_assign_{0};
 };
 
 }  // namespace bftreg::socknet

@@ -49,11 +49,11 @@ struct TcpNetwork::Endpoint {
   // Atomic: stop() publishes -1 while loop threads may still be reading it.
   std::atomic<int> listen_fd{-1};
   uint16_t port{0};
-  /// hash(pid) % loop shards: owns the listener, dialed conns and timers.
+  /// hash(pid) % loop shards: owns the listener, every connection, the
+  /// timers and delivery context 0. Context i lives on (home_shard + i) % N.
   size_t home_shard{0};
-  /// delivery shard -> pooled mailbox consumer index (round-robin at
-  /// registration, so the shards of one process spread across consumers).
-  std::vector<size_t> mail_ctx;
+  /// The process's delivery contexts (IProcess::delivery_shards, >= 1).
+  uint32_t contexts{1};
 
   // Outbound routing: send() appends sealed frames under out_mu; the
   // owning loop shard pulls whole queues and flushes them with sendmsg.
@@ -78,7 +78,7 @@ struct TcpNetwork::Endpoint {
   std::atomic<uint64_t> partial_writes{0};
 };
 
-/// One full-duplex TCP connection, owned by exactly one loop shard: every
+/// One full-duplex TCP connection, owned by its endpoint's home shard: every
 /// field is touched only on that shard's thread (stop() reclaims leftovers
 /// after the join). A dialed conn knows its peer from birth; an accepted
 /// conn learns it from the first authenticated frame and is then adopted
@@ -105,7 +105,6 @@ TcpNetwork::TcpNetwork(TcpConfig config)
       opts_(config.options.resolved()),
       epoch_(std::chrono::steady_clock::now()),
       loop_(opts_.loop_shards),
-      mail_(opts_.mailbox_shards),
       shard_conns_(loop_.size()) {}
 
 TcpNetwork::~TcpNetwork() {
@@ -146,9 +145,7 @@ void TcpNetwork::add_process(const ProcessId& pid, net::IProcess* process,
   ep->process = process;
   ep->home_shard = loop_.shard_of(pid);
   ep->pool = std::make_shared<ChunkPool>(opts_.recv_pool_bytes);
-  const uint32_t nctx = std::max<uint32_t>(1, process->delivery_shards());
-  ep->mail_ctx.reserve(nctx);
-  for (uint32_t s = 0; s < nctx; ++s) ep->mail_ctx.push_back(mail_.assign_context());
+  ep->contexts = std::max<uint32_t>(1, process->delivery_shards());
 
   if (listen) {
     const int listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
@@ -197,7 +194,6 @@ void TcpNetwork::start() {
       auth_.precompute_pairs(servers, pids);
     }
   }
-  mail_.start();
   for (auto& [pid, ep] : endpoints_) {
     Endpoint* e = ep.get();
     enqueue(e, [e] { e->process->on_start(); });
@@ -216,9 +212,7 @@ void TcpNetwork::start() {
   }
 }
 
-bool TcpNetwork::on_internal_thread() const {
-  return loop_.on_loop_thread() || mail_.on_pool_thread();
-}
+bool TcpNetwork::on_internal_thread() const { return loop_.on_loop_thread(); }
 
 void TcpNetwork::stop() {
   // No-op before start() by contract (nothing to shut down), and
@@ -226,9 +220,10 @@ void TcpNetwork::stop() {
   if (!running_.exchange(false)) return;
   assert(!on_internal_thread() && "stop() called from a network-owned thread");
 
-  // Best-effort drain: force-flush every non-empty queue (tasks run either
-  // in-loop or in the shard's final task drain), then a per-shard rundown
-  // that waits boundedly for writability and sheds what will not go.
+  // Best-effort drain: force-flush every non-empty queue (the flush tasks
+  // run before the rundown below), then a per-shard rundown that waits
+  // boundedly for writability and sheds what will not go. send_payload is
+  // already a no-op, so handlers still running cannot refill the queues.
   for (auto& [pid, ep] : endpoints_) {
     ep->writes_paused.store(false, std::memory_order_relaxed);
     std::vector<ProcessId> dests;
@@ -240,13 +235,7 @@ void TcpNetwork::stop() {
     }
     for (const ProcessId& to : dests) schedule_flush(ep.get(), to);
   }
-  for (size_t s = 0; s < loop_.size(); ++s) {
-    loop_.shard(s).post([this, s] { drain_shard(s); });
-  }
-  loop_.stop();
-  // Loop shards are gone, so nothing publishes new deliveries; the pool
-  // drains whatever is still queued before its consumers exit.
-  mail_.stop();
+  loop_.stop([this](size_t s) { drain_shard(s); });
 
   // All threads joined: reclaim every fd the shards still owned.
   for (auto& conns : shard_conns_) {
@@ -262,10 +251,10 @@ void TcpNetwork::stop() {
 // --- delivery --------------------------------------------------------------
 
 void TcpNetwork::enqueue(Endpoint* ep, std::function<void()> fn) {
-  // Tasks (on_start, post, timer fires) always run in context 0 so they
-  // keep the single-context guarantee protocol clients rely on.
-  if (mail_.shard(ep->mail_ctx[0])
-          .push_item(runtime::MailItem{nullptr, {}, std::move(fn)})) {
+  // Tasks (on_start, post) always run in context 0 so they keep the
+  // single-context guarantee protocol clients rely on.
+  if (loop_.shard(ep->home_shard)
+          .push(runtime::MailItem{nullptr, {}, std::move(fn)})) {
     metrics_.on_mailbox_overflow();
   }
 }
@@ -275,13 +264,9 @@ void TcpNetwork::deliver(Endpoint* ep, net::Envelope env) {
   // shard_of runs on the loop thread by contract (pure function of the
   // envelope); the modulo keeps a buggy override in range.
   uint32_t shard = 0;
-  if (ep->mail_ctx.size() > 1) {
-    shard = proc->shard_of(env) % static_cast<uint32_t>(ep->mail_ctx.size());
-  }
-  if (mail_.shard(ep->mail_ctx[shard])
-          .push_item(runtime::MailItem{proc, std::move(env), nullptr, shard})) {
-    metrics_.on_mailbox_overflow();
-  }
+  if (ep->contexts > 1) shard = proc->shard_of(env) % ep->contexts;
+  LoopShard& owner = loop_.shard((ep->home_shard + shard) % loop_.size());
+  if (owner.deliver(proc, shard, std::move(env))) metrics_.on_mailbox_overflow();
 }
 
 // --- inbound ---------------------------------------------------------------
@@ -294,21 +279,16 @@ void TcpNetwork::accept_ready(Endpoint* ep) {
     if (fd < 0) return;  // EAGAIN (drained) or listener closing
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // Accepted conns stay on the listener's (home) shard, which also runs
+    // the endpoint's context 0: its frames are parsed and handled on one
+    // thread, with no hand-off.
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
-    conn->shard = loop_.next_conn_shard();
+    conn->shard = ep->home_shard;
     conn->ep = ep;
     conn->inbound = true;
     conn->reading = !ep->reads_paused.load(std::memory_order_relaxed);
-    if (conn->shard == ep->home_shard) {
-      register_conn(std::move(conn));
-      continue;
-    }
-    // Hand the fd to its owning shard (raw release: std::function needs a
-    // copyable closure, and the registry takes ownership back on arrival).
-    Conn* raw = conn.release();
-    loop_.shard(raw->shard).post(
-        [this, raw] { register_conn(std::unique_ptr<Conn>(raw)); });
+    register_conn(std::move(conn));
   }
 }
 
@@ -423,13 +403,14 @@ bool TcpNetwork::ensure_recv_space(Endpoint* ep, ConnState& st) {
   Chunk& c = *st.chunk;
   const size_t unparsed = c.filled - st.parse_pos;
 
-  // How much contiguous room the data at parse_pos needs: the whole next
+  // How much contiguous room the data at parse_pos needs: exactly the next
   // frame if its header is visible (parse_frames validated it), otherwise
-  // just a minimum read window.
+  // a minimum read window. Asking for more than the frame would roll a
+  // chunk sized to a jumbo frame -- copying all of it -- whenever its last
+  // recv stopped less than a read window short of the frame's end.
   size_t needed = unparsed + kMinRecv;
   if (unparsed >= 4) {
-    const uint32_t frame_len = load_le32(c.data.get() + st.parse_pos);
-    needed = std::max(needed, size_t{4} + frame_len);
+    needed = size_t{4} + load_le32(c.data.get() + st.parse_pos);
   }
   if (c.cap - st.parse_pos >= needed && c.cap > c.filled) return true;
 
@@ -494,10 +475,7 @@ bool TcpNetwork::parse_frames(Conn* conn) {
       conn->peer_known = true;
       MutexLock lock(ep->out_mu);
       OutQueue& q = ep->out[from];
-      if (q.conn == nullptr) {
-        q.conn = conn;
-        q.conn_shard = conn->shard;
-      }
+      if (q.conn == nullptr) q.conn = conn;
     }
     metrics_.on_deliver();
     ep->payload_bytes_delivered.fetch_add(payload.size(),
@@ -534,8 +512,7 @@ void TcpNetwork::send_payload(const ProcessId& from, const ProcessId& to,
   frame.payload = std::move(payload);
   const size_t frame_bytes = kHeaderSize + frame.payload.size();
 
-  bool need_post = false;
-  size_t post_shard = 0;
+  bool need_flush = false;
   {
     MutexLock lock(src->out_mu);
     OutQueue& q = src->out[to];
@@ -548,19 +525,27 @@ void TcpNetwork::send_payload(const ProcessId& from, const ProcessId& to,
     q.pending.push_back(std::move(frame));
     if (!q.flush_scheduled) {
       q.flush_scheduled = true;
-      need_post = true;
-      post_shard = q.conn != nullptr ? q.conn_shard : src->home_shard;
+      need_flush = true;
     }
   }
-  // Posting wakes the shard (eventfd write) -- never do it under out_mu.
-  if (need_post) {
-    loop_.shard(post_shard).post(
-        [this, post_shard, src, to] { flush_task(post_shard, src, to); });
+  // Posting may wake the shard (eventfd write) -- never do it under out_mu.
+  if (need_flush) run_flush(src, to);
+}
+
+void TcpNetwork::run_flush(Endpoint* ep, const ProcessId& to) {
+  LoopShard& home = loop_.shard(ep->home_shard);
+  auto flush = [this, ep, to] { flush_task(ep, to); };
+  // On the home shard (a handler of context 0, or a flush chaining a
+  // redial) the flush runs when the current turn ends: after the batch
+  // bracket closes, so one sendmsg carries the whole batch's replies.
+  if (home.on_loop_thread()) {
+    home.defer(std::move(flush));
+  } else {
+    home.post(std::move(flush));
   }
 }
 
 void TcpNetwork::schedule_flush(Endpoint* ep, const ProcessId& to) {
-  size_t shard = 0;
   {
     MutexLock lock(ep->out_mu);
     auto it = ep->out.find(to);
@@ -569,38 +554,22 @@ void TcpNetwork::schedule_flush(Endpoint* ep, const ProcessId& to) {
       return;
     }
     it->second.flush_scheduled = true;
-    shard = it->second.conn != nullptr ? it->second.conn_shard : ep->home_shard;
   }
-  loop_.shard(shard).post([this, shard, ep, to] { flush_task(shard, ep, to); });
+  run_flush(ep, to);
 }
 
-void TcpNetwork::flush_task(size_t shard, Endpoint* ep, ProcessId to) {
+void TcpNetwork::flush_task(Endpoint* ep, const ProcessId& to) {
   Conn* c = nullptr;
-  size_t chase = 0;
-  bool chasing = false;
   {
     MutexLock lock(ep->out_mu);
     auto it = ep->out.find(to);
     if (it == ep->out.end()) return;
-    OutQueue& q = it->second;
-    q.flush_scheduled = false;
-    if (q.conn != nullptr && q.conn_shard != shard) {
-      // The route moved between post and run (an adoption raced us);
-      // chase it to the owning shard.
-      q.flush_scheduled = true;
-      chasing = true;
-      chase = q.conn_shard;
-    } else {
-      c = q.conn;
-    }
-  }
-  if (chasing) {
-    loop_.shard(chase).post([this, chase, ep, to] { flush_task(chase, ep, to); });
-    return;
+    it->second.flush_scheduled = false;
+    c = it->second.conn;
   }
   if (ep->writes_paused.load(std::memory_order_relaxed)) return;
   if (c == nullptr) {
-    c = dial(shard, ep, to);
+    c = dial(ep, to);
     if (c == nullptr) {
       // Destination unknown, listen-less, or immediately unreachable:
       // shed the backlog (client deadlines retransmit).
@@ -634,8 +603,7 @@ void TcpNetwork::flush_task(size_t shard, Endpoint* ep, ProcessId to) {
   try_write(c);  // refills from pending inline while the socket drains
 }
 
-TcpNetwork::Conn* TcpNetwork::dial(size_t shard, Endpoint* ep,
-                                   const ProcessId& to) {
+TcpNetwork::Conn* TcpNetwork::dial(Endpoint* ep, const ProcessId& to) {
   Endpoint* dst = find(to);
   if (dst == nullptr || dst->port == 0) return nullptr;
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
@@ -656,7 +624,7 @@ TcpNetwork::Conn* TcpNetwork::dial(size_t shard, Endpoint* ep,
   }
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
-  conn->shard = shard;
+  conn->shard = ep->home_shard;
   conn->ep = ep;
   conn->peer = to;
   conn->peer_known = true;
@@ -665,9 +633,7 @@ TcpNetwork::Conn* TcpNetwork::dial(size_t shard, Endpoint* ep,
   Conn* raw = conn.get();
   {
     MutexLock lock(ep->out_mu);
-    OutQueue& q = ep->out[to];
-    q.conn = raw;
-    q.conn_shard = shard;
+    ep->out[to].conn = raw;
   }
   register_conn(std::move(conn));
   return raw;
@@ -832,10 +798,7 @@ void TcpNetwork::conn_failed(Conn* c) {
   const ProcessId peer = c->peer;
   shard_conns_[shard].erase(fd);  // destroys c
   ::close(fd);
-  if (redial) {
-    const size_t home = ep->home_shard;
-    loop_.shard(home).post([this, home, ep, peer] { flush_task(home, ep, peer); });
-  }
+  if (redial) run_flush(ep, peer);
 }
 
 /// stop()-time rundown for one shard: adopt any frames still parked in the
@@ -892,13 +855,11 @@ void TcpNetwork::post_after(const ProcessId& pid, TimeNs delta,
   }
   Endpoint* ep = find(pid);
   if (ep == nullptr) return;
-  // Timers live on the endpoint's home shard (absorbing the old dedicated
-  // timer thread); pending timers are dropped at stop() by the LoopShard
-  // contract, matching the Transport interface.
-  loop_.shard(ep->home_shard)
-      .run_after(delta, [this, ep, fn = std::move(fn)]() mutable {
-        enqueue(ep, std::move(fn));
-      });
+  // Timers live on the endpoint's home shard, which also runs context 0,
+  // so a timer fires straight into the process's execution context.
+  // Pending timers are dropped at stop() by the LoopShard contract,
+  // matching the Transport interface.
+  loop_.shard(ep->home_shard).run_after(delta, std::move(fn));
 }
 
 // --- TestHooks -------------------------------------------------------------
@@ -947,13 +908,12 @@ void TcpNetwork::TestHooks::shutdown_inbound(const ProcessId& pid) {
   // not `this` -- TestHooks is a by-value view and may be gone by the time
   // the task runs.)
   TcpNetwork* net = &net_;
-  for (size_t s = 0; s < net->loop_.size(); ++s) {
-    net->loop_.shard(s).post([net, s, ep] {
-      for (auto& [fd, c] : net->shard_conns_[s]) {
-        if (c->ep == ep && c->inbound) ::shutdown(fd, SHUT_RDWR);
-      }
-    });
-  }
+  const size_t s = ep->home_shard;
+  net->loop_.shard(s).post([net, s, ep] {
+    for (auto& [fd, c] : net->shard_conns_[s]) {
+      if (c->ep == ep && c->inbound) ::shutdown(fd, SHUT_RDWR);
+    }
+  });
 }
 
 void TcpNetwork::TestHooks::pause_writes(const ProcessId& pid, bool paused) {
@@ -974,18 +934,17 @@ void TcpNetwork::TestHooks::pause_writes(const ProcessId& pid, bool paused) {
   // in the outbox, so the scan above misses them: kick every conn of this
   // endpoint that still holds inflight work.
   TcpNetwork* net = &net_;
-  for (size_t s = 0; s < net->loop_.size(); ++s) {
-    net->loop_.shard(s).post([net, s, ep] {
-      std::vector<int> fds;
-      for (auto& [fd, c] : net->shard_conns_[s]) {
-        if (c->ep == ep && !c->inflight.empty()) fds.push_back(fd);
-      }
-      for (int fd : fds) {  // try_write may erase the conn; re-find each
-        auto it = net->shard_conns_[s].find(fd);
-        if (it != net->shard_conns_[s].end()) net->try_write(it->second.get());
-      }
-    });
-  }
+  const size_t s = ep->home_shard;
+  net->loop_.shard(s).post([net, s, ep] {
+    std::vector<int> fds;
+    for (auto& [fd, c] : net->shard_conns_[s]) {
+      if (c->ep == ep && !c->inflight.empty()) fds.push_back(fd);
+    }
+    for (int fd : fds) {  // try_write may erase the conn; re-find each
+      auto it = net->shard_conns_[s].find(fd);
+      if (it != net->shard_conns_[s].end()) net->try_write(it->second.get());
+    }
+  });
 }
 
 void TcpNetwork::TestHooks::pause_reads(const ProcessId& pid, bool paused) {
@@ -995,15 +954,14 @@ void TcpNetwork::TestHooks::pause_reads(const ProcessId& pid, bool paused) {
   // Re-arm (or disarm) EPOLLIN on every conn delivering to this endpoint;
   // level-triggered epoll replays anything that queued while paused.
   TcpNetwork* net = &net_;
-  for (size_t s = 0; s < net->loop_.size(); ++s) {
-    net->loop_.shard(s).post([net, s, ep, paused] {
-      for (auto& [fd, c] : net->shard_conns_[s]) {
-        if (c->ep != ep) continue;
-        c->reading = !paused;
-        net->update_conn_events(c.get());
-      }
-    });
-  }
+  const size_t s = ep->home_shard;
+  net->loop_.shard(s).post([net, s, ep, paused] {
+    for (auto& [fd, c] : net->shard_conns_[s]) {
+      if (c->ep != ep) continue;
+      c->reading = !paused;
+      net->update_conn_events(c.get());
+    }
+  });
 }
 
 }  // namespace bftreg::socknet

@@ -8,17 +8,21 @@
 // authenticated point-to-point channels, and TCP + the MAC layer provides
 // exactly that.
 //
-// Thread model (rebuilt for client-fleet scale; numbers in docs/PERF.md):
-// every socket lives on one of N event-loop shards (socknet/event_loop.h)
-// and every handler context on one of M pooled mailbox consumers, so the
-// thread count is N + M regardless of how many endpoints are registered --
-// the previous design spawned reader + writer threads *per endpoint* and
-// topped out around a dozen processes.
+// Thread model (numbers in docs/PERF.md, "Run-to-completion delivery"):
+// N event-loop shards (socknet/event_loop.h) run everything -- sockets,
+// handlers, tasks and timers -- so the thread count is N regardless of how
+// many endpoints are registered. An endpoint's home shard owns its
+// listener, every connection it dialed or accepted, its timers, and its
+// delivery context 0; context i of a sharded process runs on shard
+// (home + i) % N. A frame parsed on the shard that owns its context is
+// handled inline, run to completion; only frames for a context on another
+// shard cross threads, through that shard's MPSC inbox.
 //
 //   Outbound  send() seals a 22-byte header, appends (header, payload) to a
 //             bounded per-destination queue and schedules a flush on the
-//             owning shard -- no syscall, no payload concatenation, no
-//             blocking I/O under a lock. The shard drains whole queues with
+//             home shard -- deferred to the end of the current turn when
+//             the sender already runs there, posted otherwise. No syscall,
+//             no payload concatenation, no blocking I/O under a lock. The shard drains whole queues with
 //             sendmsg + iovec coalescing; a short write arms EPOLLOUT and
 //             the next readiness wake resumes mid-frame (wr_offset), so no
 //             thread ever parks in a socket call. A full queue sheds the
@@ -28,8 +32,9 @@
 //   Inbound   readiness-driven reads into large refcounted chunks, frames
 //             parsed in place, payload *views* aliasing the chunk
 //             (common/buffer.h) delivered with zero payload copies. Each
-//             parsed envelope is published straight into its delivery
-//             context's lock-free MPSC ring (runtime/mailbox.h).
+//             parsed envelope is handled inline when its delivery context
+//             lives on the parsing shard, and otherwise published into the
+//             owning shard's lock-free MPSC inbox (runtime/mailbox.h).
 //
 //   Duplex    connections are full-duplex: the first authenticated frame
 //             on an accepted connection names the peer, and the endpoint
@@ -60,7 +65,6 @@
 #include "common/types.h"
 #include "crypto/auth.h"
 #include "net/transport.h"
-#include "runtime/mailbox.h"
 #include "socknet/event_loop.h"
 
 namespace bftreg::socknet {
@@ -69,8 +73,8 @@ struct TcpConfig {
   uint64_t master_secret{0x5eC4e7B17e5eCBA5ULL};
   /// Listening address (loopback only in this build).
   const char* host{"127.0.0.1"};
-  /// Transport sizing: event-loop shards, mailbox consumers, outbox cap,
-  /// receive chunk/pool sizes. Zero fields resolve to hardware defaults
+  /// Transport sizing: event-loop shards, outbox cap, receive chunk/pool
+  /// sizes (mailbox_shards is not used here). Zero fields resolve to hardware defaults
   /// (net::TransportOptions::resolved). SystemConfig::Builder validates
   /// and carries the same struct for deployments built from a config.
   net::TransportOptions options{};
@@ -94,8 +98,8 @@ class TcpNetwork final : public net::Transport {
   void add_process(const ProcessId& pid, net::IProcess* process,
                    bool listen = true);
 
-  /// Starts the loop shards + mailbox pool and delivers on_start() to
-  /// every process (on its mailbox consumer, like the other runtimes).
+  /// Starts the loop shards and delivers on_start() to every process (in
+  /// its context 0, like the other runtimes).
   void start();
 
   /// Closes sockets and joins all threads.
@@ -104,8 +108,8 @@ class TcpNetwork final : public net::Transport {
   /// reduce to "only the winner of the `running_` exchange performs the
   /// shutdown"; later, concurrent, or premature calls return immediately.
   /// Must be called from an *external* thread (the owner or any client
-  /// thread), never from a loop shard or mailbox consumer: stop() joins
-  /// those threads and would self-deadlock. Asserted in debug builds.
+  /// thread), never from a loop shard: stop() joins those threads and
+  /// would self-deadlock. Asserted in debug builds.
   void stop();
 
   /// The port a process listens on (0 for listen-less endpoints).
@@ -156,9 +160,10 @@ class TcpNetwork final : public net::Transport {
     /// socket writability.
     size_t outbox_bytes(const ProcessId& from, const ProcessId& to) const;
 
-    /// The loop shard that owns `pid`'s listener, dialed connections and
-    /// timers. Pure function of (pid, loop_shards): tests assert the
-    /// mapping is stable across calls and across instances.
+    /// The loop shard that owns `pid`'s listener, connections, timers and
+    /// delivery context 0 (so context 0's handlers run on its thread). Pure
+    /// function of (pid, loop_shards): tests assert the mapping is stable
+    /// across calls and across instances.
     size_t loop_shard_of(const ProcessId& pid) const;
 
     /// Fault injection: shuts down every connection accepted by `pid`'s
@@ -203,14 +208,13 @@ class TcpNetwork final : public net::Transport {
   };
 
   /// Per-destination outbound state (ep->out_mu). `conn` is a routing hint
-  /// only: it may be dereferenced solely on `conn_shard`'s loop thread.
+  /// only: it may be dereferenced solely on the endpoint's home shard.
   struct OutQueue {
     std::deque<OutFrame> pending;   // sealed, not yet handed to a conn
     size_t queued_bytes{0};  // bytes parked in `pending`; claimed frames
                            // leave the cap at hand-off to the conn
     bool flush_scheduled{false};
     Conn* conn{nullptr};
-    size_t conn_shard{0};
     int failures{0};  // consecutive conn failures; 2 drops the backlog
   };
 
@@ -247,13 +251,15 @@ class TcpNetwork final : public net::Transport {
   Endpoint* find(const ProcessId& pid);
   const Endpoint* find(const ProcessId& pid) const;
   bool on_internal_thread() const;
-  /// Schedules a flush of ep->out[to] on its owning shard if none is
+  /// Schedules a flush of ep->out[to] on its home shard if none is
   /// pending. Never called with out_mu held (posting is a syscall).
   void schedule_flush(Endpoint* ep, const ProcessId& to);
+  /// Runs flush_task on ep's home shard (the caller set flush_scheduled).
+  void run_flush(Endpoint* ep, const ProcessId& to);
 
-  // --- loop-shard helpers (each runs on the shard named in its args) -------
-  void flush_task(size_t shard, Endpoint* ep, ProcessId to);
-  Conn* dial(size_t shard, Endpoint* ep, const ProcessId& to);
+  // --- home-shard helpers (run on the shard that owns the endpoint) --------
+  void flush_task(Endpoint* ep, const ProcessId& to);
+  Conn* dial(Endpoint* ep, const ProcessId& to);
   void register_conn(std::unique_ptr<Conn> conn);
   void accept_ready(Endpoint* ep);
   void on_conn_event(Conn* c, uint32_t events);
@@ -278,7 +284,6 @@ class TcpNetwork final : public net::Transport {
   std::chrono::steady_clock::time_point epoch_;
 
   EventLoop loop_;
-  MailboxPool mail_;
   /// shard index -> conns owned by that shard's thread. The vector itself
   /// is immutable after construction; element s is touched only on shard
   /// s's loop thread (and in stop(), after the join).

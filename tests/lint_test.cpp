@@ -199,8 +199,7 @@ TEST(LintSocknetThread, ThreadOutsideEventLoopFlagged) {
 }
 
 TEST(LintSocknetThread, EventLoopPoolExempt) {
-  // The shard pool and the mailbox consumers are the transport's only
-  // legitimate thread spawns.
+  // The loop-shard pool is the transport's only legitimate thread spawn.
   EXPECT_FALSE(has_rule(
       lint_content("src/socknet/event_loop.cpp",
                    "threads_.emplace_back(std::thread([this] { loop(); }));\n"),

@@ -2,14 +2,17 @@
 // full BSR protocol running over real kernel sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "registers/registers.h"
 #include "runtime/thread_network.h"
@@ -372,6 +375,221 @@ TEST(TcpNetworkTest, DeliveryCopiesAtMostOneChunkTail) {
             static_cast<uint64_t>(kMsgs) * TcpConfig{}.options.recv_chunk_bytes);
   EXPECT_LT(stats.tail_bytes_copied, stats.payload_bytes_delivered / 10);
   net.stop();
+}
+
+size_t thread_count() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(TcpNetworkTest, StartsOneThreadPerLoopShard) {
+  // Run-to-completion: sockets, handlers, tasks and timers all run on the
+  // loop shards, so the transport's thread count is loop_shards --
+  // mailbox_shards is not used here.
+  TcpConfig cfg;
+  cfg.options.loop_shards = 3;
+  cfg.options.mailbox_shards = 5;
+  TcpNetwork net(cfg);
+  std::deque<Counter> procs;
+  for (uint32_t i = 0; i < 6; ++i) {
+    procs.emplace_back(ProcessId::server(i));
+    net.add_process(ProcessId::server(i), &procs.back());
+  }
+  // A first thread spawn lets a sanitizer runtime start its own helper
+  // thread now, outside the counted window.
+  std::thread([] {}).join();
+  const size_t before = thread_count();
+  net.start();
+  EXPECT_TRUE(wait_for([&] {
+    for (auto& p : procs) {
+      if (!p.started()) return false;
+    }
+    return true;
+  }));
+  EXPECT_EQ(thread_count() - before, 3u);
+  net.stop();
+  EXPECT_EQ(thread_count(), before);
+}
+
+/// Checks the IProcess delivery contract from inside the handlers: the
+/// handlers of one (process, delivery shard) context never overlap, every
+/// delivery runs inside its context's batch bracket, and each bracket
+/// opens and closes on one thread. Records which threads ran each context.
+class ContractSink final : public net::IProcess {
+ public:
+  explicit ContractSink(uint32_t contexts) : ctx_(contexts) {}
+
+  uint32_t delivery_shards() const override {
+    return static_cast<uint32_t>(ctx_.size());
+  }
+  uint32_t shard_of(const net::Envelope& env) const override {
+    return env.from.index % static_cast<uint32_t>(ctx_.size());
+  }
+
+  void on_batch_begin(uint32_t shard) override {
+    Context& c = ctx_.at(shard);
+    if (c.open) violations_.fetch_add(1);  // begin without an end
+    c.open = true;
+    c.bracket_thread = std::this_thread::get_id();
+    c.threads.insert(c.bracket_thread);
+  }
+
+  void on_batch_end(uint32_t shard) override {
+    Context& c = ctx_.at(shard);
+    if (!c.open || c.bracket_thread != std::this_thread::get_id()) {
+      violations_.fetch_add(1);
+    }
+    c.open = false;
+  }
+
+  void on_message(const net::Envelope& env) override {
+    Context& c = ctx_.at(shard_of(env));
+    if (c.inside.fetch_add(1) != 0) overlaps_.fetch_add(1);
+    if (!c.open || c.bracket_thread != std::this_thread::get_id()) {
+      violations_.fetch_add(1);
+    }
+    c.threads.insert(std::this_thread::get_id());
+    std::this_thread::yield();  // widen the window an overlap would need
+    c.inside.fetch_sub(1);
+    delivered_.fetch_add(1);
+  }
+
+  int delivered() const { return delivered_.load(); }
+  int overlaps() const { return overlaps_.load(); }
+  int violations() const { return violations_.load(); }
+  /// Threads that ran context `shard` (read after the network stopped).
+  const std::set<std::thread::id>& threads(uint32_t shard) const {
+    return ctx_.at(shard).threads;
+  }
+
+ private:
+  struct Context {
+    std::atomic<int> inside{0};
+    // Touched only by the context's own handlers, which the contract
+    // serializes; read by the test after stop().
+    bool open{false};
+    std::thread::id bracket_thread;
+    std::set<std::thread::id> threads;
+  };
+  std::vector<Context> ctx_;
+  std::atomic<int> delivered_{0};
+  std::atomic<int> overlaps_{0};
+  std::atomic<int> violations_{0};
+};
+
+class DeliveryContractTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(DeliveryContractTest, ContextsRunSerializedOnTheirOwningShard) {
+  constexpr size_t kShards = 4;
+  constexpr uint32_t kClients = 8;
+  constexpr int kPerClient = 400;
+  const uint32_t contexts = GetParam();
+  const ProcessId sink_id = ProcessId::server(0);
+
+  TcpConfig cfg;
+  cfg.options.loop_shards = kShards;
+  TcpNetwork net(cfg);
+  ContractSink sink(contexts);
+  net.add_process(sink_id, &sink);
+  std::deque<Counter> clients;
+  for (uint32_t i = 0; i < kClients; ++i) {
+    clients.emplace_back(ProcessId::reader(i));
+    net.add_process(ProcessId::reader(i), &clients.back(), /*listen=*/false);
+  }
+  // One idle probe endpoint per loop shard: a task posted to it runs on
+  // that shard's thread, which names the thread.
+  std::deque<Counter> probes;
+  std::vector<ProcessId> probe_of(kShards);
+  std::vector<bool> found(kShards, false);
+  for (uint32_t i = 100; std::count(found.begin(), found.end(), true) <
+                         static_cast<long>(kShards);
+       ++i) {
+    const ProcessId pid = ProcessId::reader(i);
+    const size_t s = net.test_hooks().loop_shard_of(pid);
+    if (found[s]) continue;
+    found[s] = true;
+    probe_of[s] = pid;
+    probes.emplace_back(pid);
+    net.add_process(pid, &probes.back(), /*listen=*/false);
+  }
+  net.start();
+
+  std::vector<std::thread::id> shard_thread(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    std::promise<std::thread::id> id;
+    net.post(probe_of[s], [&id] { id.set_value(std::this_thread::get_id()); });
+    auto fut = id.get_future();
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+    shard_thread[s] = fut.get();
+  }
+
+  std::vector<std::thread> senders;
+  for (uint32_t i = 0; i < kClients; ++i) {
+    senders.emplace_back([&net, &sink_id, i] {
+      for (int k = 0; k < kPerClient; ++k) {
+        net.send(ProcessId::reader(i), sink_id, Bytes{static_cast<uint8_t>(k)});
+      }
+    });
+  }
+  for (auto& t : senders) t.join();
+  EXPECT_TRUE(wait_for(
+      [&] { return sink.delivered() == static_cast<int>(kClients) * kPerClient; }));
+  net.stop();
+
+  EXPECT_EQ(sink.overlaps(), 0);
+  EXPECT_EQ(sink.violations(), 0);
+  const size_t home = net.test_hooks().loop_shard_of(sink_id);
+  for (uint32_t c = 0; c < contexts; ++c) {
+    // Context c lives on shard (home + c) % N for its whole life.
+    ASSERT_EQ(sink.threads(c).size(), 1u) << "context " << c;
+    EXPECT_EQ(*sink.threads(c).begin(), shard_thread[(home + c) % kShards])
+        << "context " << c;
+  }
+}
+
+// 8 contexts on 4 loop shards: contexts c and c + 4 share a shard, so
+// inline deliveries switch brackets in the middle of one parse.
+INSTANTIATE_TEST_SUITE_P(DeliveryShards, DeliveryContractTest,
+                         ::testing::Values(1u, 4u, 8u));
+
+TEST(TcpNetworkTest, StopWhileClientsDialAndSendIsClean) {
+  // stop() races connections still being dialed and accepted and frames
+  // still being parsed: every shard must stop reading before any shard
+  // exits, and nothing a shard still held may leak (the asan-ubsan preset
+  // runs this with LeakSanitizer).
+  for (int round = 0; round < 5; ++round) {
+    TcpConfig cfg;
+    cfg.options.loop_shards = 4;
+    TcpNetwork net(cfg);
+    std::deque<Counter> procs;
+    for (uint32_t i = 0; i < 3; ++i) {
+      procs.emplace_back(ProcessId::server(i), &net);
+      net.add_process(ProcessId::server(i), &procs.back());
+    }
+    for (uint32_t i = 0; i < 16; ++i) {
+      procs.emplace_back(ProcessId::reader(i), &net);
+      net.add_process(ProcessId::reader(i), &procs.back(), /*listen=*/false);
+    }
+    net.start();
+    std::atomic<bool> go{true};
+    std::vector<std::thread> senders;
+    for (uint32_t t = 0; t < 4; ++t) {
+      senders.emplace_back([&net, &go, t] {
+        for (uint32_t k = 0; go.load(); ++k) {
+          net.send(ProcessId::reader((t * 4 + k) % 16),
+                   ProcessId::server(k % 3), Bytes(64 + k % 512, 'P'));
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 + round));
+    net.stop();
+    go.store(false);
+    for (auto& t : senders) t.join();
+  }
 }
 
 /// Records the address of each delivered payload's first byte, so tests can

@@ -724,7 +724,8 @@ void line_rules(const std::string& rel_path, const Prepared& p,
            "protocol code must stay single-threaded per process");
     }
     // Within the TCP transport the thread budget is the event loop's:
-    // N loop shards + M mailbox consumers, all owned by event_loop.{h,cpp}.
+    // N loop shards, which run sockets and handlers alike, all owned by
+    // event_loop.{h,cpp}.
     // Any other std::thread in src/socknet/ reintroduces the
     // thread-per-endpoint design the shard rewrite removed.
     if (starts_with(rel_path, "src/socknet/") &&
@@ -733,7 +734,7 @@ void line_rules(const std::string& rel_path, const Prepared& p,
         std::regex_search(code, kRawThread)) {
       flag(i, "socknet-thread",
            "std::thread in src/socknet outside event_loop.{h,cpp}; transport "
-           "threads belong to the LoopShard / MailboxPool budget");
+           "threads belong to the LoopShard budget");
     }
     if (std::regex_search(code, kDetach)) {
       flag(i, "detach",

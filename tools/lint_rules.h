@@ -99,10 +99,11 @@
 //                       paren-balanced look-ahead.
 //   socknet-thread      std::thread inside src/socknet/ anywhere but
 //                       event_loop.{h,cpp}. The transport's entire thread
-//                       budget is the LoopShard pool + MailboxPool
-//                       consumers; a thread spawned elsewhere in the
-//                       transport is the per-endpoint reader/writer design
-//                       creeping back in.
+//                       budget is the LoopShard pool, which runs sockets
+//                       and handlers alike; a thread spawned elsewhere in
+//                       the transport is the per-endpoint reader/writer
+//                       design (or a separate handler pool) creeping back
+//                       in.
 //
 // A finding can be waived by putting `bftreg-lint: allow(<rule>)` in a
 // comment on the offending line or the line directly above it, with a
