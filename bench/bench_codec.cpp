@@ -14,9 +14,15 @@
 //  * `bench_codec --json=PATH [--quick]`: skips google-benchmark and emits
 //    a machine-readable throughput snapshot -- encode / decode-clean /
 //    decode-adversarial MB/s per (n, f, size, kernel), iterating over every
-//    region kernel the host supports. CI diffs this against the checked-in
-//    BENCH_codec.json baseline with tools/bench_regress (fails on > 20%
-//    regression). `--quick` shortens the per-point measurement window.
+//    region kernel the host supports -- plus seal MB/s of the channel MAC
+//    at 64 B, 1 KiB and 22 KiB (a BCSR coded element) for every lane
+//    kernel the host supports. A seal hashes payloads below
+//    crypto::kBulkMacBytes with siphash24 and the rest with the 8-lane
+//    tree, so the 64 B rows gate the short-frame path and the larger rows
+//    the named kernel. The value checksum inside encode/decode is part of
+//    the codec rows. CI diffs this against the checked-in BENCH_codec.json
+//    baseline with tools/bench_regress (fails on > 20% regression).
+//    `--quick` shortens the per-point measurement window.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -28,6 +34,8 @@
 #include "codec/gf_region.h"
 #include "codec/mds_code.h"
 #include "common/rng.h"
+#include "crypto/auth.h"
+#include "crypto/siphash.h"
 #include "workload/workload.h"
 
 using namespace bftreg;
@@ -201,6 +209,26 @@ int run_json_mode(const std::string& path, bool quick) {
     }
   }
   codec::gf::reset_kernel();
+
+  const crypto::SipHashKey key{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const Bytes frame = workload::make_value(2, 0, 22528);
+  for (const auto k : {crypto::LaneKernel::kScalar, crypto::LaneKernel::kAvx2,
+                       crypto::LaneKernel::kAvx512}) {
+    if (!crypto::lane_kernel_available(k)) continue;
+    for (const size_t size : {size_t{64}, size_t{1024}, size_t{22528}}) {
+      // Authenticator::seal's dispatch rule, with the lane kernel pinned.
+      const double seal = measure_mbps(size, window, [&] {
+        benchmark::DoNotOptimize(
+            size < crypto::kBulkMacBytes
+                ? crypto::siphash24(key, frame.data(), size)
+                : crypto::siphash24_lanes_as(k, key, frame.data(), size));
+      });
+      std::fprintf(out, ",\n    {\"mac\": \"%s\", \"size\": %zu, \"seal_mbps\": %.1f}",
+                   crypto::lane_kernel_name(k), size, seal);
+      std::fprintf(stderr, "  mac %-6s size=%7zu  seal %8.1f MB/s\n",
+                   crypto::lane_kernel_name(k), size, seal);
+    }
+  }
   std::fprintf(out, "\n  ]\n}\n");
   std::fclose(out);
   std::fprintf(stderr, "bench_codec: wrote %s\n", path.c_str());

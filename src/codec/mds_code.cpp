@@ -14,8 +14,21 @@ namespace bftreg::codec {
 
 namespace {
 
-uint32_t value_checksum(const Bytes& v) {
-  return static_cast<uint32_t>(fnv1a64(v.data(), v.size()) & 0xffffffffu);
+// xxHash64's primes; the lane round and avalanche follow the same shape.
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+
+inline uint64_t rotl64(uint64_t x, int b) { return (x << b) | (x >> (64 - b)); }
+
+inline uint64_t load_le64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline uint64_t lane_round(uint64_t acc, uint64_t word) {
+  return rotl64(acc + word * kPrime2, 31) * kPrime1;
 }
 
 /// Padded-payload scratch reused across encode calls on the same thread
@@ -54,6 +67,39 @@ GfMatrix mat_mul(const GfMatrix& a, const GfMatrix& b) {
 }
 
 }  // namespace
+
+uint32_t MdsCode::value_checksum(BytesView value) {
+  const uint8_t* p = value.data();
+  const size_t len = value.size();
+  uint64_t a0 = kPrime1 + kPrime2;
+  uint64_t a1 = kPrime2;
+  uint64_t a2 = 0;
+  uint64_t a3 = 0 - kPrime1;
+  size_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    a0 = lane_round(a0, load_le64(p + i));
+    a1 = lane_round(a1, load_le64(p + i + 8));
+    a2 = lane_round(a2, load_le64(p + i + 16));
+    a3 = lane_round(a3, load_le64(p + i + 24));
+  }
+  // Distinct rotations keep the fold sensitive to which lane held a word.
+  uint64_t h = rotl64(a0, 1) + rotl64(a1, 7) + rotl64(a2, 12) + rotl64(a3, 18) +
+               static_cast<uint64_t>(len);
+  for (; i + 8 <= len; i += 8) {
+    h = rotl64(h ^ lane_round(0, load_le64(p + i)), 27) * kPrime1 + kPrime3;
+  }
+  if (i < len) {
+    uint64_t last = 0;
+    std::memcpy(&last, p + i, len - i);
+    h = rotl64(h ^ lane_round(0, last), 27) * kPrime1 + kPrime3;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return static_cast<uint32_t>(h);
+}
 
 MdsCode::MdsCode(size_t n, size_t k, RsLayout layout) : rs_(n, k, layout) {}
 
@@ -271,10 +317,9 @@ std::optional<Bytes> MdsCode::finish(const std::vector<uint8_t>& payload) const 
   for (size_t i = 0; i < 4; ++i)
     sum |= static_cast<uint32_t>(payload[4 + i]) << (8 * i);
   if (len > payload.size() - kHeaderBytes) return std::nullopt;
-  Bytes value(payload.begin() + kHeaderBytes,
-              payload.begin() + kHeaderBytes + len);
+  const BytesView value(payload.data() + kHeaderBytes, len);
   if (value_checksum(value) != sum) return std::nullopt;
-  return value;
+  return Bytes(value.begin(), value.end());
 }
 
 }  // namespace bftreg::codec

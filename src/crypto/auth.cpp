@@ -22,24 +22,39 @@ void pack_pair(const ProcessId& from, const ProcessId& to, uint8_t out[10]) {
   out[9] = static_cast<uint8_t>(to.index >> 24);
 }
 
-}  // namespace
-
-SipHashKey KeyRegistry::channel_key(const ProcessId& from, const ProcessId& to) const {
-  // Domain-separated derivation: key parts are SipHash of the endpoint ids
-  // under master-derived keys. The adversary never sees `master_`.
+/// Domain-separated derivation: key parts are SipHash of the endpoint ids
+/// under master-derived keys. The adversary never sees `master`.
+SipHashKey derive_key(uint64_t master, uint64_t domain0, uint64_t domain1,
+                      const ProcessId& from, const ProcessId& to) {
   uint8_t ids[10];
   pack_pair(from, to, ids);
   const BytesView view(ids, sizeof(ids));
-  const SipHashKey d0{master_, 0x6b65792d64657230ULL};  // "key-der0"
-  const SipHashKey d1{master_, 0x6b65792d64657231ULL};  // "key-der1"
-  return SipHashKey{siphash24(d0, view), siphash24(d1, view)};
+  return SipHashKey{siphash24(SipHashKey{master, domain0}, view),
+                    siphash24(SipHashKey{master, domain1}, view)};
+}
+
+}  // namespace
+
+SipHashKey KeyRegistry::channel_key(const ProcessId& from, const ProcessId& to) const {
+  return derive_key(master_, 0x6b65792d64657230ULL,  // "key-der0"
+                    0x6b65792d64657231ULL, from, to);  // "key-der1"
+}
+
+SipHashKey KeyRegistry::bulk_key(const ProcessId& from, const ProcessId& to) const {
+  return derive_key(master_, 0x626c6b2d64657230ULL,  // "blk-der0"
+                    0x626c6b2d64657231ULL, from, to);  // "blk-der1"
+}
+
+Authenticator::ChannelKeys Authenticator::derive(const ProcessId& from,
+                                                 const ProcessId& to) const {
+  return ChannelKeys{registry_.channel_key(from, to), registry_.bulk_key(from, to)};
 }
 
 void Authenticator::precompute(const std::vector<ProcessId>& ids) {
   cache_.reserve(ids.size() * ids.size());
   for (const ProcessId& from : ids) {
     for (const ProcessId& to : ids) {
-      cache_.emplace(PairKey{from, to}, registry_.channel_key(from, to));
+      cache_.emplace(PairKey{from, to}, derive(from, to));
     }
   }
 }
@@ -49,24 +64,25 @@ void Authenticator::precompute_pairs(const std::vector<ProcessId>& hubs,
   cache_.reserve(cache_.size() + 2 * hubs.size() * peers.size());
   for (const ProcessId& hub : hubs) {
     for (const ProcessId& peer : peers) {
-      cache_.emplace(PairKey{hub, peer}, registry_.channel_key(hub, peer));
-      cache_.emplace(PairKey{peer, hub}, registry_.channel_key(peer, hub));
+      cache_.emplace(PairKey{hub, peer}, derive(hub, peer));
+      cache_.emplace(PairKey{peer, hub}, derive(peer, hub));
     }
   }
 }
 
-SipHashKey Authenticator::key_for(const ProcessId& from,
-                                  const ProcessId& to) const {
-  if (!cache_.empty()) {
-    auto it = cache_.find(PairKey{from, to});
-    if (it != cache_.end()) return it->second;
-  }
-  return registry_.channel_key(from, to);
-}
-
 MacTag Authenticator::seal(const ProcessId& from, const ProcessId& to,
                            BytesView payload) const {
-  return siphash24(key_for(from, to), payload);
+  const bool bulk = payload.size() >= kBulkMacBytes;
+  if (!cache_.empty()) {
+    auto it = cache_.find(PairKey{from, to});
+    if (it != cache_.end()) {
+      return bulk ? siphash24_lanes(it->second.bulk, payload)
+                  : siphash24(it->second.mac, payload);
+    }
+  }
+  // Uncached pair: derive only the key this payload needs.
+  return bulk ? siphash24_lanes(registry_.bulk_key(from, to), payload)
+              : siphash24(registry_.channel_key(from, to), payload);
 }
 
 bool Authenticator::verify(const ProcessId& from, const ProcessId& to,

@@ -6,6 +6,12 @@
 // seals payloads with a MAC binding (sender, receiver, payload); a Byzantine
 // server can replay or garble its *own* messages but cannot forge a MAC for
 // a message claiming to come from another process.
+//
+// Two MACs, chosen by payload length alone: below kBulkMacBytes the tag is
+// siphash24 under the channel's MAC key; at or above it, the 8-lane tree
+// siphash24_lanes (siphash.h) under the channel's separate bulk key. A
+// given length therefore has exactly one valid tag function, and the two
+// functions never share a key (DESIGN.md, "Bulk-frame MAC").
 #pragma once
 
 #include <cstdint>
@@ -19,6 +25,17 @@ namespace bftreg::crypto {
 
 using MacTag = uint64_t;
 
+/// Payloads of at least this many bytes take the 8-lane bulk MAC. Below it,
+/// one siphash24 chain beats the lanes' fixed cost (eight lane setups and
+/// finalizations plus an 80-byte closing hash). Every host must pick the
+/// same tag function for a length, so this is one constant, not one per
+/// kernel. Measured on a 4-vCPU AVX-512 Xeon (docs/PERF.md), the AVX-512
+/// kernel overtakes siphash24 near 150 B and AVX2 near 300 B; at 512 B they
+/// are 1.9x and 1.4x faster. The scalar kernel only overtakes near 1 KiB,
+/// so a host without AVX2 pays up to ~25 % more between 512 B and 1 KiB,
+/// and gains above it.
+inline constexpr size_t kBulkMacBytes = 512;
+
 /// Derives the pairwise channel keys from a master secret. Stateless:
 /// keys are recomputed on demand, so the registry is trivially copyable
 /// and safe to share across threads.
@@ -26,8 +43,13 @@ class KeyRegistry {
  public:
   explicit KeyRegistry(uint64_t master_secret) : master_(master_secret) {}
 
-  /// Key for the directed channel `from -> to`.
+  /// MAC key for the directed channel `from -> to` (payloads below
+  /// kBulkMacBytes).
   SipHashKey channel_key(const ProcessId& from, const ProcessId& to) const;
+
+  /// Bulk key for the same channel (payloads of kBulkMacBytes or more):
+  /// derived under its own domain constants, independent of channel_key.
+  SipHashKey bulk_key(const ProcessId& from, const ProcessId& to) const;
 
  private:
   uint64_t master_;
@@ -37,9 +59,9 @@ class Authenticator {
  public:
   explicit Authenticator(KeyRegistry registry) : registry_(registry) {}
 
-  /// Derives and caches the channel key for every ordered pair in `ids`.
-  /// seal/verify on a cached pair then cost one SipHash pass over the
-  /// payload instead of three (two derivation passes plus the MAC) -- on
+  /// Derives and caches both channel keys for every ordered pair in `ids`.
+  /// seal/verify on a cached pair then cost one MAC pass over the payload
+  /// instead of three (two derivation passes plus the MAC) -- on
   /// the transports' delivery hot path that is most of the per-message
   /// crypto. Uncached pairs still derive on demand, so this is purely an
   /// optimization. NOT thread-safe: call before the authenticator is
@@ -55,7 +77,8 @@ class Authenticator {
   void precompute_pairs(const std::vector<ProcessId>& hubs,
                         const std::vector<ProcessId>& peers);
 
-  /// MAC over (from, to, payload) under the from->to channel key.
+  /// MAC over (from, to, payload) under the from->to channel's keys:
+  /// siphash24 below kBulkMacBytes, siphash24_lanes at or above it.
   MacTag seal(const ProcessId& from, const ProcessId& to, BytesView payload) const;
 
   /// True iff `mac` is a valid seal for (from, to, payload).
@@ -76,11 +99,16 @@ class Authenticator {
     }
   };
 
-  SipHashKey key_for(const ProcessId& from, const ProcessId& to) const;
+  struct ChannelKeys {
+    SipHashKey mac;
+    SipHashKey bulk;
+  };
+
+  ChannelKeys derive(const ProcessId& from, const ProcessId& to) const;
 
   KeyRegistry registry_;
   /// Immutable after precompute(); concurrent readers share it lock-free.
-  std::unordered_map<PairKey, SipHashKey, PairKeyHash> cache_;
+  std::unordered_map<PairKey, ChannelKeys, PairKeyHash> cache_;
 };
 
 }  // namespace bftreg::crypto

@@ -80,7 +80,7 @@ void BcsrReadOp::on_response(const ProcessId& from, RegisterMessage msg) {
   // otherwise fall back (v0 / last decodable value).
   bool fresh = false;
   if (auto decoded = code_->decode(elements_)) {
-    state_->last_decoded = *decoded;
+    state_->last_decoded = std::move(*decoded);
     fresh = true;
   } else {
     ++state_->decode_failures;

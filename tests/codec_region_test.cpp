@@ -190,8 +190,7 @@ std::vector<Bytes> reference_encode(const MdsCode& code, const RsCode& rs,
   const size_t kk = code.k();
   std::vector<uint8_t> payload(stripes * kk, 0);
   const auto len = static_cast<uint32_t>(value.size());
-  const auto sum =
-      static_cast<uint32_t>(fnv1a64(value.data(), value.size()) & 0xffffffffu);
+  const uint32_t sum = MdsCode::value_checksum(value);
   for (size_t i = 0; i < 4; ++i) payload[i] = static_cast<uint8_t>(len >> (8 * i));
   for (size_t i = 0; i < 4; ++i) {
     payload[4 + i] = static_cast<uint8_t>(sum >> (8 * i));
@@ -303,6 +302,36 @@ TEST_P(BcsrRegionTest, MidElementDivergenceFallsBackToPerStripe) {
     ASSERT_TRUE(decoded.has_value())
         << "kernel=" << gf::kernel_name(kernel) << " n=" << n << " f=" << f;
     EXPECT_EQ(*decoded, value);
+  }
+}
+
+// A read that races two equal-length writes can collect, on every server,
+// an element whose first stripes belong to one write and the rest to the
+// other. Every stripe is then a valid codeword, so Reed-Solomon decodes
+// cleanly to a payload stitched from both values under the first value's
+// header; only the value checksum can reject it.
+TEST_P(BcsrRegionTest, DecodeRejectsValueStitchedFromTwoWrites) {
+  const auto [n, f, layout] = GetParam();
+  const auto code = MdsCode::for_bcsr(n, f, layout);
+  Rng rng(1700 + n * 29 + f);
+
+  for (const size_t size : {size_t{100}, size_t{4096}, size_t{65536}}) {
+    const Bytes first = random_value(rng, size);
+    const Bytes second = random_value(rng, size);
+    const auto a = code.encode(first);
+    const auto b = code.encode(second);
+    const size_t stripes = a[0].size();
+    // cut >= kHeaderBytes keeps the first value's length and checksum.
+    for (const size_t cut : {MdsCode::kHeaderBytes, stripes / 2, stripes - 1}) {
+      std::vector<std::optional<Bytes>> received(n);
+      for (size_t i = 0; i < n; ++i) {
+        Bytes e(a[i].begin(), a[i].begin() + static_cast<std::ptrdiff_t>(cut));
+        e.insert(e.end(), b[i].begin() + static_cast<std::ptrdiff_t>(cut), b[i].end());
+        received[i] = std::move(e);
+      }
+      EXPECT_FALSE(code.decode(received).has_value())
+          << "n=" << n << " f=" << f << " size=" << size << " cut=" << cut;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // MdsCode stack (the paper's Phi and Phi^{-1}, Section IV-A).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "codec/gf256.h"
@@ -547,6 +548,28 @@ TEST(MdsCodeTest, EmptyValueRoundTrip) {
   auto decoded = code.decode(received);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->empty());
+}
+
+TEST(MdsCodeTest, ValueChecksumSeesEveryByteWordOrderAndLength) {
+  Bytes value(203);
+  for (size_t i = 0; i < value.size(); ++i) value[i] = static_cast<uint8_t>(i * 7 + 1);
+  const uint32_t base = MdsCode::value_checksum(value);
+  // One flipped bit anywhere: the 32-byte blocks, the word tail, the byte tail.
+  for (size_t i = 0; i < value.size(); ++i) {
+    Bytes v = value;
+    v[i] ^= 0x10;
+    EXPECT_NE(MdsCode::value_checksum(v), base) << "byte " << i;
+  }
+  // Two words swapped inside one block, and two whole blocks swapped.
+  Bytes words = value;
+  std::swap_ranges(words.begin(), words.begin() + 8, words.begin() + 8);
+  EXPECT_NE(MdsCode::value_checksum(words), base);
+  Bytes blocks = value;
+  std::swap_ranges(blocks.begin(), blocks.begin() + 32, blocks.begin() + 32);
+  EXPECT_NE(MdsCode::value_checksum(blocks), base);
+  // Zero padding changes the length, and the length is hashed.
+  EXPECT_NE(MdsCode::value_checksum(Bytes(8, 0)), MdsCode::value_checksum(Bytes(9, 0)));
+  EXPECT_NE(MdsCode::value_checksum(Bytes{}), MdsCode::value_checksum(Bytes(1, 0)));
 }
 
 TEST(MdsCodeTest, AllAbsentFails) {

@@ -7,7 +7,9 @@
 //
 //   bftreg-bench-codec-v1      written by `bench_codec --json=PATH`; points
 //                              keyed by (n, f, size, kernel), metrics
-//                              encode/decode_clean/decode_adv MB/s.
+//                              encode/decode_clean/decode_adv MB/s, and
+//                              channel-MAC points keyed by (mac, size),
+//                              metric seal MB/s.
 //   bftreg-bench-client-v1     written by `bench_mixed_workload --json=PATH`;
 //                              points keyed by (protocol, depth), metric
 //                              ops_per_ms of the pipelined client.
@@ -143,6 +145,10 @@ bool load(const std::string& path, PointMap* out, std::string* schema) {
       // the comparison loop.
       p["ops_per_sec"] = find_number(obj, "ops_per_sec");
       p["bytes_per_object"] = find_number(obj, "bytes_per_object");
+    } else if (const std::string mac = find_string(obj, "mac"); !mac.empty()) {
+      std::snprintf(key, sizeof(key), "mac=%s/size=%d", mac.c_str(),
+                    static_cast<int>(find_number(obj, "size")));
+      p["seal"] = find_number(obj, "seal_mbps");
     } else {
       const std::string kernel = find_string(obj, "kernel");
       const double n = find_number(obj, "n");
