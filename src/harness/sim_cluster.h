@@ -1,12 +1,13 @@
 // Experiment harness: assemble a full register emulation in the simulator.
 //
-// A SimCluster instantiates n servers (honest RegisterServer / RbServer, or
-// Byzantine ByzantineServer at chosen positions), plus writer and reader
-// clients for the selected protocol, wires everything to a seeded
-// deterministic Simulator, and records every operation into an
-// ExecutionRecorder so the checkers can pass judgment afterwards. It is
-// used by the integration tests, the property tests, every bench binary,
-// and the examples.
+// A SimCluster builds a Deployment (deployment.h: n servers, Byzantine ones
+// at chosen positions, one RegisterClient per writer and reader index) on a
+// seeded deterministic Simulator, drives operations by stepping the
+// simulator, and records every operation into an ExecutionRecorder so the
+// checkers can pass judgment afterwards. The checker assumes the paper's
+// well-formed clients, so the harness asserts that a client is idle before
+// it starts an operation on it. SimCluster is used by the integration
+// tests, the property tests, every simulator bench, and the examples.
 #pragma once
 
 #include <cassert>
@@ -14,32 +15,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "adversary/byzantine_server.h"
 #include "checker/execution.h"
+#include "harness/deployment.h"
 #include "registers/registers.h"
 #include "sim/simulator.h"
 
-namespace bftreg::storage {
-class PersistentRegisterServer;
-}
-
 namespace bftreg::harness {
-
-enum class Protocol {
-  kBsr,         // Section III: replicated, one-shot reads, n >= 4f+1
-  kBsrHistory,  // Section III-C option 1: regular, history reads
-  kBsr2R,       // Section III-C option 2: regular, two-round reads
-  kBcsr,        // Section IV: erasure-coded, one-shot reads, n >= 5f+1
-  kRb,          // baseline: RB-based, n >= 3f+1
-  kBsrWb,       // extension: write-back reads, atomic, two rounds
-};
-
-const char* to_string(Protocol p);
-
-/// Minimum servers the protocol needs for f Byzantine faults.
-size_t min_servers(Protocol p, size_t f);
 
 struct ClusterOptions {
   Protocol protocol{Protocol::kBsr};
@@ -124,36 +109,18 @@ class SimCluster {
   const ClusterOptions& options() const { return options_; }
 
   /// The honest server at `index`, or nullptr if Byzantine / RB-protocol.
-  registers::RegisterServer* server(size_t index);
+  registers::RegisterServer* server(size_t index) { return deployment_.server(index); }
   /// Total bytes stored across honest servers (storage-cost metric, E4).
-  size_t total_stored_bytes() const;
+  size_t total_stored_bytes() const { return deployment_.total_stored_bytes(); }
 
   ProcessId writer_id(size_t index) const { return ProcessId::writer(static_cast<uint32_t>(index)); }
   ProcessId reader_id(size_t index) const { return ProcessId::reader(static_cast<uint32_t>(index)); }
 
  private:
-  struct WriterSlot;
-  struct ReaderSlot;
-
-  Bytes initial_for_server(size_t index) const;
-  std::string wal_path(size_t index) const;
-  void build();
-
   ClusterOptions options_;
   std::unique_ptr<sim::Simulator> sim_;
+  Deployment deployment_;
   checker::ExecutionRecorder recorder_;
-
-  std::vector<std::unique_ptr<net::IProcess>> servers_;
-  std::vector<registers::RegisterServer*> honest_servers_;  // parallel, may hold nullptr
-  /// Parallel typed view of servers_ when wal_dir is set (else nullptr).
-  std::vector<storage::PersistentRegisterServer*> persistent_servers_;
-  /// Replaced server objects, kept alive until teardown: simulator events
-  /// queued before a restart may still reference them.
-  std::vector<std::unique_ptr<net::IProcess>> retired_;
-  std::vector<std::unique_ptr<WriterSlot>> writers_;
-  std::vector<std::unique_ptr<ReaderSlot>> readers_;
-
-  std::vector<Bytes> initial_elements_;  // BCSR: Phi_i(v0)
 
   struct PendingWrite {
     bool done{false};

@@ -1,12 +1,13 @@
 // Wall-clock experiment harness: the SimCluster counterpart on real
 // threads.
 //
-// Same protocol selection and Byzantine placement as SimCluster, but the
-// processes run on runtime::ThreadNetwork (one mailbox thread per delivery
-// shard, real delays, wall-clock time) and operations are blocking calls
-// safe to issue from concurrent caller threads -- one caller per client,
-// per the model's one-operation-per-client rule. Used by bench_wallclock
-// and available to applications that want a ready-made deployment harness.
+// The same Deployment as SimCluster (deployment.h), but the processes run
+// on runtime::ThreadNetwork (one mailbox thread per delivery shard, real
+// delays, wall-clock time) and operations are blocking calls through
+// BlockingRegisterClient, safe to issue from concurrent caller threads --
+// one caller per client, per the model's one-operation-per-client rule.
+// Used by bench_wallclock and available to applications that want a
+// ready-made deployment harness.
 //
 // Sharded servers: set options.config.server_shards > 1 and each
 // RegisterServer splits its object table across that many mailbox threads
@@ -17,10 +18,10 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "adversary/byzantine_server.h"
-#include "harness/sim_cluster.h"  // Protocol enum, min_servers
+#include "harness/deployment.h"
 #include "registers/registers.h"
 #include "runtime/thread_network.h"
 
@@ -77,31 +78,19 @@ class ThreadCluster {
 
   /// The WAL-backed server at `index`; nullptr when wal_dir is unset or
   /// the slot is Byzantine.
-  storage::PersistentRegisterServer* persistent_server(size_t index);
+  storage::PersistentRegisterServer* persistent_server(size_t index) {
+    return deployment_.persistent_server(index);
+  }
 
   runtime::ThreadNetwork& net() { return *net_; }
   const ThreadClusterOptions& options() const { return options_; }
 
  private:
-  struct WriterSlot;
-  struct ReaderSlot;
-
-  Bytes initial_for_server(size_t index) const;
-  std::string wal_path(size_t index) const;
-  void build();
   void start_impl();
 
   ThreadClusterOptions options_;
   std::unique_ptr<runtime::ThreadNetwork> net_;
-  std::vector<std::unique_ptr<net::IProcess>> servers_;
-  /// Parallel typed view of servers_ when wal_dir is set (else nullptr).
-  std::vector<storage::PersistentRegisterServer*> persistent_servers_;
-  /// Replaced server objects, kept alive until teardown: in-flight
-  /// MailItems may still carry their (never re-dereferenced) pointers.
-  std::vector<std::unique_ptr<net::IProcess>> retired_;
-  std::vector<std::unique_ptr<WriterSlot>> writers_;
-  std::vector<std::unique_ptr<ReaderSlot>> readers_;
-  std::vector<Bytes> initial_elements_;
+  Deployment deployment_;
   std::once_flag start_once_;
   // Published by the call_once winner; read by set_byzantine's precondition
   // assert, which may run on a different thread than the one that started.

@@ -18,6 +18,8 @@ const char* to_string(ProtocolVariant v) {
       return "bsr-wb";
     case ProtocolVariant::kBcsr:
       return "bcsr";
+    case ProtocolVariant::kRb:
+      return "rb";
   }
   return "?";
 }
@@ -28,8 +30,6 @@ RegisterClient::RegisterClient(ProcessId self, SystemConfig config,
   if (options_.variant == ProtocolVariant::kBcsr) {
     assert(mux_.config().valid_for_bcsr());
     code_ = codec::MdsCode::for_bcsr(mux_.config().n, mux_.config().f);
-  } else {
-    assert(mux_.config().valid_for_bsr());
   }
 }
 
@@ -82,6 +82,11 @@ void RegisterClient::read(uint32_t object, const OpOptions& opts,
       op = std::make_unique<BcsrReadOp>(cfg, &*code_, state, std::move(cb));
       kind = OpKind::kBcsrRead;
       break;
+    case ProtocolVariant::kRb:
+      // Same QUERY-DATA request as a BSR read, hence the same id namespace.
+      op = std::make_unique<RbReadOp>(cfg, state, std::move(cb));
+      kind = OpKind::kBsrRead;
+      break;
   }
   mux_.start(std::move(op), kind, object, effective_policy(opts));
 }
@@ -102,7 +107,8 @@ void RegisterClient::write(uint32_t object, Bytes value, const OpOptions& opts,
 void RegisterClient::read_batch(std::span<const uint32_t> objects,
                                 BatchReadCallback cb) {
   assert(options_.variant != ProtocolVariant::kBcsr &&
-         "batched reads need replicated storage");
+         options_.variant != ProtocolVariant::kRb &&
+         "batched reads need replicated storage on BSR servers");
   assert(!objects.empty());
   assert(objects.size() <= 4096 && "batch exceeds the server-side cap");
   // The op owns its id list; the caller's span may die with the call.

@@ -2,13 +2,20 @@
 //
 // One object of this class is a full protocol client: pick a protocol
 // variant, point it at the server set, and issue reads/writes against any
-// number of shared variables -- concurrently. Where the low-level classes
-// (BsrReader, BsrWriter, ...) enforce the paper's one-operation-per-client
-// well-formedness, RegisterClient runs every operation through an
-// operation multiplexer (op_mux.h), so a single client sustains
-// dozens-to-hundreds of in-flight operations across many objects; each
-// operation keeps its own quorum/witness tallies, so the paper's
-// per-operation guarantees are untouched (see protocol_ops.h).
+// number of shared variables -- concurrently. It is the only client in the
+// library. Every operation runs through an operation multiplexer
+// (op_mux.h), so a single client sustains dozens-to-hundreds of in-flight
+// operations across many objects; each operation keeps its own
+// quorum/witness tallies, so the paper's per-operation guarantees are
+// untouched (see protocol_ops.h). Callers that need the paper's
+// well-formed clients (one operation at a time, as the consistency
+// checker assumes) check idle() before starting the next operation, as the
+// experiment harnesses do.
+//
+// Resilience: SystemConfig::Builder::build_for_{bsr,bcsr,rb} reject an n
+// below the variant's bound. The constructor itself does not, so the
+// paper's positive controls can run BSR at n = 4f and watch it fail; only
+// BCSR insists, because its code needs k = n - 5f >= 1.
 //
 // Deadlines: construct with a RetryPolicy to bound every operation --
 // missed deadlines retransmit under the same op id (stragglers still
@@ -54,6 +61,7 @@ enum class ProtocolVariant : uint8_t {
   kBsrTwoRound,    // two-round regular reads (III-C, option 2)
   kBsrWriteBack,   // two-round atomic reads (ABD write-back extension)
   kBcsr,           // erasure-coded, one-shot safe reads (Section IV)
+  kRb,             // RB-based baseline reads, n >= 3f+1 (comparator [15])
 };
 
 const char* to_string(ProtocolVariant v);
@@ -93,8 +101,9 @@ class RegisterClient final : public net::IProcess {
   void write(uint32_t object, Bytes value, const OpOptions& opts,
              WriteCallback cb);
 
-  /// Begins a one-round multi-get (replicated variants only; BCSR stores
-  /// coded elements, which the batch wire format does not carry). The
+  /// Begins a one-round multi-get (BSR-server variants only: BCSR stores
+  /// coded elements, which the batch wire format does not carry, and RB
+  /// servers do not answer batches). The
   /// object ids are copied out of `objects` before the call returns; the
   /// span may reference caller storage of any lifetime.
   void read_batch(std::span<const uint32_t> objects, BatchReadCallback cb);

@@ -161,8 +161,8 @@ enum class OpKind : uint8_t {
 };
 
 /// Per-client table of in-flight operations. Not itself registered with the
-/// transport: the owning client (RegisterClient or a legacy protocol class)
-/// forwards its envelopes to on_message(). All methods must run in the
+/// transport: the owning RegisterClient forwards its envelopes to
+/// on_message(). All methods must run in the
 /// owning process's execution context (simulator event / mailbox thread);
 /// like every protocol object in this repo, OpMux is single-threaded by
 /// construction.

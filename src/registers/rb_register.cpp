@@ -1,7 +1,7 @@
 #include "registers/rb_register.h"
 
-#include <algorithm>
 #include <cassert>
+#include <optional>
 #include <vector>
 
 #include "common/serde.h"
@@ -175,117 +175,6 @@ void RbServer::handle_query(const ProcessId& from, const RegisterMessage& msg) {
     resp.value = initial_;
   }
   reply(from, resp);
-}
-
-// --------------------------------------------------------------- RbReader
-
-RbReader::RbReader(ProcessId self, SystemConfig config,
-                   net::Transport* transport, uint32_t object)
-    : self_(self),
-      config_(std::move(config)),
-      transport_(transport),
-      object_(object),
-      responded_(config_.quorum()) {
-  local_ = TaggedValue{Tag::initial(), config_.initial_value};
-}
-
-void RbReader::start_read(Callback callback) {
-  assert(!reading_ && "at most one operation per client");
-  reading_ = true;
-  saw_update_ = false;
-  callback_ = std::move(callback);
-  invoked_at_ = transport_->now();
-  ++op_id_;
-  responded_.reset();
-  max_tag_.clear();
-  vouchers_.clear();
-
-  RegisterMessage query;
-  query.type = MsgType::kQueryData;
-  query.op_id = op_id_;
-  query.object = object_;
-  const Bytes payload = query.encode();
-  for (uint32_t i = 0; i < config_.n; ++i) {
-    transport_->send(self_, ProcessId::server(i), payload);
-  }
-}
-
-void RbReader::on_message(const net::Envelope& env) {
-  if (!reading_ || !env.from.is_server()) return;
-  auto msg = RegisterMessage::parse(env.payload);
-  if (!msg || msg->op_id != op_id_ || msg->object != object_) return;
-  switch (msg->type) {
-    case MsgType::kDataResp:
-      responded_.add(env.from);
-      note_pair(env.from, TaggedValue{msg->tag, std::move(msg->value)});
-      break;
-    case MsgType::kDataUpdate:
-      saw_update_ = true;
-      note_pair(env.from, TaggedValue{msg->tag, std::move(msg->value)});
-      break;
-    default:
-      return;
-  }
-  try_complete();
-}
-
-void RbReader::note_pair(const ProcessId& from, const TaggedValue& pair) {
-  auto [it, inserted] = max_tag_.emplace(from, pair.tag);
-  if (!inserted) it->second = std::max(it->second, pair.tag);
-  vouchers_[pair].insert(from);
-}
-
-void RbReader::try_complete() {
-  if (!responded_.reached()) return;
-
-  // H = (f+1)-th largest per-server newest tag. Robust both ways: at most
-  // f Byzantine tags can sit above it (so H is at most the largest honest
-  // tag and waiting for it terminates), and at least f+1 servers claim a
-  // tag >= H (so one honest server really holds something >= H).
-  std::vector<Tag> tags;
-  tags.reserve(max_tag_.size());
-  for (const auto& [server, tag] : max_tag_) tags.push_back(tag);
-  std::sort(tags.begin(), tags.end(), std::greater<>());
-  const Tag h = tags[std::min(tags.size() - 1, config_.f)];
-
-  const TaggedValue* best = nullptr;
-  for (const auto& [pair, voters] : vouchers_) {
-    if (voters.size() >= config_.witness_threshold() && pair.tag >= h) {
-      best = &pair;  // ascending map: last qualifying pair has highest tag
-    }
-  }
-  if (best == nullptr) return;  // keep waiting for DATA-UPDATE pushes
-
-  bool fresh = false;
-  if (best->tag > local_.tag) {
-    local_ = *best;
-    fresh = true;
-  }
-  finish(local_, fresh);
-}
-
-void RbReader::finish(const TaggedValue& chosen, bool fresh) {
-  reading_ = false;
-
-  RegisterMessage done;
-  done.type = MsgType::kReadDone;
-  done.op_id = op_id_;
-  done.object = object_;
-  const Bytes payload = done.encode();
-  for (uint32_t i = 0; i < config_.n; ++i) {
-    transport_->send(self_, ProcessId::server(i), payload);
-  }
-
-  ReadResult result;
-  result.value = chosen.value;
-  result.tag = chosen.tag;
-  result.fresh = fresh;
-  result.invoked_at = invoked_at_;
-  result.completed_at = transport_->now();
-  result.rounds = saw_update_ ? 2 : 1;
-  Callback cb = std::move(callback_);
-  callback_ = nullptr;
-  if (cb) cb(result);
 }
 
 }  // namespace bftreg::registers

@@ -1,46 +1,40 @@
 // Umbrella header: the public API of the register library.
 //
-// Two layers:
+// One client layer: RegisterClient (client.h) -- one client object per
+// process, constructed from a SystemConfig (see SystemConfig::Builder) plus
+// a ProtocolVariant, offering read/write/read_batch over any number of
+// objects with any number of operations in flight, deadline-based timeouts
+// and capped retries. BlockingRegisterClient wraps it future-style for the
+// real-time transports. Each variant's reads and writes are the PendingOps
+// of protocol_ops.h, one class per figure of the paper:
 //
-//   High-level (start here): RegisterClient (client.h) -- one client
-//     object per process, constructed from a SystemConfig (see
-//     SystemConfig::Builder) plus a ProtocolVariant, offering
-//     read/write/read_batch over any number of objects with any number of
-//     operations in flight, deadline-based timeouts and capped retries.
-//     BlockingRegisterClient wraps it future-style for the real-time
-//     transports.
-//
-//   Low-level (the paper's one-operation-per-client state machines, kept
-//     for the protocol tests, benches, and anyone wanting the figures
-//     verbatim; they run the same protocol ops through the same
-//     multiplexer, restricted to one operation at a time):
-//   BsrWriter/BsrReader + RegisterServer  -- MWMR replicated safe register,
-//     one-shot reads, n >= 4f+1 (Section III).
-//   BcsrWriter/BcsrReader + RegisterServer -- SWMR erasure-coded safe
-//     register, one-shot reads, n >= 5f+1 (Section IV).
-//   HistoryReader   -- one-shot *regular* reads via full-history responses
-//     (Section III-C, option 1).
-//   TwoRoundReader  -- two-round regular reads (Section III-C, option 2).
-//   RbWriter/RbReader + RbServer -- RB-based baseline, n >= 3f+1
-//     (comparator; Section VI / [15]).
-//   WriteBackReader -- extension: ABD-style write-back upgrades BSR reads
-//     to atomicity at the cost of a second round (consistent with the
-//     semi-fast atomicity impossibility of [13]).
-//   BatchReader -- extension: one-shot multi-get over many objects.
+//   kBsr         -- BsrReadOp + WriteOp against RegisterServer: MWMR
+//                   replicated safe register, one-shot reads, n >= 4f+1
+//                   (Section III).
+//   kBcsr        -- BcsrReadOp + coded WriteOp against RegisterServer seeded
+//                   with bcsr_initial_elements (bcsr.h): SWMR erasure-coded
+//                   safe register, one-shot reads, n >= 5f+1 (Section IV).
+//   kBsrHistory  -- HistoryReadOp: one-shot *regular* reads via full-history
+//                   responses (Section III-C, option 1).
+//   kBsrTwoRound -- TwoRoundReadOp: two-round regular reads (Section III-C,
+//                   option 2).
+//   kBsrWriteBack -- WriteBackReadOp: extension, ABD-style write-back
+//                   upgrades BSR reads to atomicity at the cost of a second
+//                   round (consistent with the semi-fast atomicity
+//                   impossibility of [13]).
+//   kRb          -- RbReadOp + WriteOp against RbServer (rb_register.h):
+//                   RB-based baseline, n >= 3f+1 (comparator; Section VI /
+//                   [15]).
+//   read_batch   -- BatchReadOp: extension, one-shot multi-get over many
+//                   objects.
 #pragma once
 
-#include "registers/batch_reader.h"    // IWYU pragma: export
 #include "registers/bcsr.h"            // IWYU pragma: export
-#include "registers/bsr_reader.h"      // IWYU pragma: export
-#include "registers/bsr_writer.h"      // IWYU pragma: export
 #include "registers/client.h"          // IWYU pragma: export
 #include "registers/config.h"          // IWYU pragma: export
-#include "registers/history_reader.h"  // IWYU pragma: export
 #include "registers/messages.h"        // IWYU pragma: export
 #include "registers/op_mux.h"          // IWYU pragma: export
 #include "registers/protocol_ops.h"    // IWYU pragma: export
 #include "registers/rb_register.h"     // IWYU pragma: export
 #include "registers/results.h"         // IWYU pragma: export
 #include "registers/server.h"          // IWYU pragma: export
-#include "registers/two_round_reader.h"  // IWYU pragma: export
-#include "registers/writeback_reader.h"  // IWYU pragma: export

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 
 #include "common/log.h"
 
@@ -311,17 +310,6 @@ void ThreadNetwork::post_after(const ProcessId& pid, TimeNs delta,
   sched_queue_.push(Timed{now() + delta, next_seq_.fetch_add(1, std::memory_order_relaxed),
                           net::Envelope{}, pid, std::move(fn)});
   sched_cv_.notify_one();
-}
-
-void BlockingInvoker::run(
-    const ProcessId& pid,
-    const std::function<void(std::function<void()> done)>& start_fn) {
-  auto promise = std::make_shared<std::promise<void>>();
-  std::future<void> fut = promise->get_future();
-  net_.post(pid, [start_fn, promise] {
-    start_fn([promise] { promise->set_value(); });
-  });
-  fut.wait();
 }
 
 }  // namespace bftreg::runtime

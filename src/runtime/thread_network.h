@@ -180,18 +180,4 @@ class ThreadNetwork final : public net::Transport {
   std::chrono::steady_clock::time_point epoch_;
 };
 
-/// Runs a client operation on its mailbox thread and blocks the calling
-/// thread until the protocol's completion callback fires. `start_fn`
-/// receives a `done` closure it must arrange to be called exactly once.
-class BlockingInvoker {
- public:
-  explicit BlockingInvoker(ThreadNetwork& net) : net_(net) {}
-
-  void run(const ProcessId& pid,
-           const std::function<void(std::function<void()> done)>& start_fn);
-
- private:
-  ThreadNetwork& net_;
-};
-
 }  // namespace bftreg::runtime

@@ -169,6 +169,19 @@ TEST(BsrTest, ReaderLocalStateIsMonotone) {
   }
 }
 
+// The checker assumes the paper's well-formed clients, so the harness
+// refuses a second operation on a client whose first is still in flight.
+TEST(SimClusterDeathTest, SecondReadOnBusyReaderTripsIdleAssert) {
+  EXPECT_DEATH(
+      {
+        SimCluster cluster(bsr_options(5, 1));
+        cluster.start_read(0);
+        cluster.start_read(0);
+        cluster.sim().run_until_idle();
+      },
+      "one operation at a time");
+}
+
 TEST(BsrTest, MalformedRepliesAreSurvived) {
   SimCluster cluster(bsr_options(5, 1, 19));
   cluster.set_byzantine(0, StrategyKind::kMalformed);

@@ -225,31 +225,6 @@ TEST(LintSocknetThread, WaiverHonored) {
       "socknet-thread"));
 }
 
-TEST(LintLegacySingleOp, BusyCallSitesFlaggedOutsideRegisters) {
-  EXPECT_TRUE(has_rule(
-      lint_content("src/harness/sim_cluster.cpp",
-                   "while (reader.busy()) sim_.step();\n"),
-      "legacy-single-op"));
-  EXPECT_TRUE(has_rule(
-      lint_content("src/workload/driver.cpp", "if (!writer->busy()) go();\n"),
-      "legacy-single-op"));
-}
-
-TEST(LintLegacySingleOp, RegistersLayerAndUnrelatedNamesExempt) {
-  // The low-level clients themselves implement and document busy().
-  EXPECT_FALSE(has_rule(
-      lint_content("src/registers/bsr_reader.h",
-                   "bool busy() const { return !mux_.idle(); }\n"),
-      "legacy-single-op"));
-  // A bare identifier or a different method is not a busy() call site.
-  EXPECT_FALSE(has_rule(
-      lint_content("src/harness/sim_cluster.cpp", "bool busy = false;\n"),
-      "legacy-single-op"));
-  EXPECT_FALSE(has_rule(
-      lint_content("src/harness/sim_cluster.cpp", "spin_while_busy();\n"),
-      "legacy-single-op"));
-}
-
 TEST(LintBlockingInLock, SyscallUnderMutexLockFlagged) {
   // The old transport's exact shape: framing + write_all inside the send
   // mutex, serializing every sender behind the kernel.
@@ -803,8 +778,6 @@ TEST(LintSarif, GoldenDocument) {
       "{\"text\": \"resilience bound arithmetic outside config.h\"}},\n"
       "        {\"id\": \"lock-order\", \"shortDescription\": {\"text\": "
       "\"nested acquisition inverts a declared lock order\"}},\n"
-      "        {\"id\": \"legacy-single-op\", \"shortDescription\": {\"text\": "
-      "\"busy() call outside the low-level register clients\"}},\n"
       "        {\"id\": \"blocking-in-lock\", \"shortDescription\": {\"text\": "
       "\"call chain from a MutexLock scope to a blocking syscall\"}},\n"
       "        {\"id\": \"lock-cycle\", \"shortDescription\": {\"text\": "
@@ -826,7 +799,7 @@ TEST(LintSarif, GoldenDocument) {
       "      ]\n"
       "    }},\n"
       "    \"results\": [\n"
-      "      {\"ruleId\": \"blocking-in-lock\", \"ruleIndex\": 7, \"level\": "
+      "      {\"ruleId\": \"blocking-in-lock\", \"ruleIndex\": 6, \"level\": "
       "\"error\", \"message\": {\"text\": \"blocking call '::sendmsg' while "
       "'out_mu' is held\"}, \"locations\": [{\"physicalLocation\": "
       "{\"artifactLocation\": {\"uri\": \"src/socknet/tcp_network.cpp\"}, "

@@ -1,5 +1,5 @@
-// Tests for the Section III-C regularity extensions (HistoryReader and
-// TwoRoundReader), centered on the Theorem 3 counterexample: the schedule
+// Tests for the Section III-C regularity extensions (history reads and
+// two-round reads), centered on the Theorem 3 counterexample: the schedule
 // under which plain BSR is provably NOT regular, and both extensions are.
 #include <gtest/gtest.h>
 

@@ -126,22 +126,6 @@ TEST(ThreadNetworkTest, CrashedProcessStopsReceivingAndSending) {
   net.stop();
 }
 
-TEST(ThreadNetworkTest, BlockingInvokerCompletesViaCallback) {
-  ThreadNetwork net(RuntimeConfig{});
-  Counter a(ProcessId::writer(0));
-  net.add_process(ProcessId::writer(0), &a);
-  net.start();
-
-  BlockingInvoker invoker(net);
-  std::atomic<bool> ran{false};
-  invoker.run(ProcessId::writer(0), [&](std::function<void()> done) {
-    ran.store(true);
-    done();
-  });
-  EXPECT_TRUE(ran.load());
-  net.stop();
-}
-
 TEST(ThreadNetworkTest, StopIsIdempotentAndJoinsCleanly) {
   ThreadNetwork net(RuntimeConfig{});
   Counter a(ProcessId::server(0));
