@@ -7,6 +7,24 @@
 
 namespace bftreg::harness {
 
+namespace {
+
+/// The RegisterClient variant that speaks `p`.
+registers::ProtocolVariant variant_of(Protocol p) {
+  using registers::ProtocolVariant;
+  switch (p) {
+    case Protocol::kBsr: return ProtocolVariant::kBsr;
+    case Protocol::kBsrHistory: return ProtocolVariant::kBsrHistory;
+    case Protocol::kBsr2R: return ProtocolVariant::kBsrTwoRound;
+    case Protocol::kBcsr: return ProtocolVariant::kBcsr;
+    case Protocol::kRb: return ProtocolVariant::kRb;
+    case Protocol::kBsrWb: return ProtocolVariant::kBsrWriteBack;
+  }
+  return ProtocolVariant::kBsr;
+}
+
+}  // namespace
+
 const char* to_string(Protocol p) {
   switch (p) {
     case Protocol::kBsr: return "BSR";
@@ -28,19 +46,6 @@ size_t min_servers(Protocol p, size_t f) {
     default:
       return registers::bsr_min_servers(f);
   }
-}
-
-registers::ProtocolVariant variant_of(Protocol p) {
-  using registers::ProtocolVariant;
-  switch (p) {
-    case Protocol::kBsr: return ProtocolVariant::kBsr;
-    case Protocol::kBsrHistory: return ProtocolVariant::kBsrHistory;
-    case Protocol::kBsr2R: return ProtocolVariant::kBsrTwoRound;
-    case Protocol::kBcsr: return ProtocolVariant::kBcsr;
-    case Protocol::kRb: return ProtocolVariant::kRb;
-    case Protocol::kBsrWb: return ProtocolVariant::kBsrWriteBack;
-  }
-  return ProtocolVariant::kBsr;
 }
 
 Deployment::Deployment(Protocol protocol, registers::SystemConfig config,

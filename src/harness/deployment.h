@@ -36,9 +36,6 @@ const char* to_string(Protocol p);
 /// Minimum servers the protocol needs for f Byzantine faults.
 size_t min_servers(Protocol p, size_t f);
 
-/// The RegisterClient variant that speaks `p`.
-registers::ProtocolVariant variant_of(Protocol p);
-
 class Deployment {
  public:
   /// Builds the servers and clients. With a non-empty `wal_dir`, honest

@@ -103,9 +103,9 @@ class RegisterClient final : public net::IProcess {
 
   /// Begins a one-round multi-get (BSR-server variants only: BCSR stores
   /// coded elements, which the batch wire format does not carry, and RB
-  /// servers do not answer batches). The
-  /// object ids are copied out of `objects` before the call returns; the
-  /// span may reference caller storage of any lifetime.
+  /// servers do not answer batches). The object ids are copied out of
+  /// `objects` before the call returns; the span may reference caller
+  /// storage of any lifetime.
   void read_batch(std::span<const uint32_t> objects, BatchReadCallback cb);
   /// Braced-list convenience: read_batch({1, 2, 3}, cb).
   void read_batch(std::initializer_list<uint32_t> objects,

@@ -106,13 +106,11 @@ void RbServer::on_message(const net::Envelope& env) {
     case MsgType::kQueryData:
       handle_query(env.from, *msg);
       break;
-    case MsgType::kReadDone: {
-      auto it = subscribers_.find(env.from);
-      if (it != subscribers_.end() && it->second.first <= msg->op_id) {
-        subscribers_.erase(it);
+    case MsgType::kReadDone:
+      if (subscribers_.erase({env.from, msg->op_id}) == 0) {
+        done_before_query_.insert({env.from, msg->op_id});
       }
       break;
-    }
     default:
       break;
   }
@@ -149,16 +147,18 @@ void RbServer::on_rb_deliver(const Bytes& blob) {
     update.object = b->object;
     update.tag = b->tag;
     update.value = b->value;
-    for (const auto& [reader, sub] : subscribers_) {
-      if (sub.second != b->object) continue;
-      update.op_id = sub.first;
-      reply(reader, update);
+    for (const auto& [sub, object] : subscribers_) {
+      if (object != b->object) continue;
+      update.op_id = sub.second;
+      reply(sub.first, update);
     }
   }
 }
 
 void RbServer::handle_query(const ProcessId& from, const RegisterMessage& msg) {
-  subscribers_[from] = {msg.op_id, msg.object};
+  if (done_before_query_.erase({from, msg.op_id}) == 0) {
+    subscribers_[{from, msg.op_id}] = msg.object;
+  }
   RegisterMessage resp;
   resp.type = MsgType::kDataResp;
   resp.op_id = msg.op_id;

@@ -29,6 +29,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -75,8 +76,14 @@ class RbServer final : public net::IProcess {
   CompactObjectStore store_;
   /// Single delivery shard, so a plain counter suffices.
   size_t stored_bytes_{0};
-  /// reader -> (read op_id, object being read)
-  std::map<ProcessId, std::pair<uint64_t, uint32_t>> subscribers_;
+  /// (reader, read op_id) -> object being read. Keyed per operation: one
+  /// client may have reads of several objects in flight, and each READ-DONE
+  /// ends exactly its own subscription.
+  std::map<std::pair<ProcessId, uint64_t>, uint32_t> subscribers_;
+  /// READ-DONEs that overtook their own QUERY-DATA (channels need not be
+  /// FIFO): the late query is answered but not subscribed, so a finished
+  /// read is never pushed to. Each entry leaves when its query arrives.
+  std::set<std::pair<ProcessId, uint64_t>> done_before_query_;
 };
 
 }  // namespace bftreg::registers

@@ -3,9 +3,12 @@
 // shared variables".
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "adversary/byzantine_server.h"
 #include "registers/registers.h"
 #include "sim/simulator.h"
 
@@ -260,6 +263,79 @@ TEST(MultiObjectRbTest, BaselineObjectsAreIsolated) {
   ASSERT_TRUE(sim.run_until([&] { return d; }));
   EXPECT_EQ(got1, Bytes{'q'});
   EXPECT_EQ(got2, Bytes{});
+}
+
+/// Answers every QUERY-DATA with a fabricated tag above anything written,
+/// for the object asked about; ignores everything else, RB included.
+class InflatingStrategy final : public adversary::Strategy {
+ public:
+  void handle(const net::Envelope& env, adversary::ServerContext& ctx) override {
+    auto msg = RegisterMessage::parse(env.payload);
+    if (!msg || msg->type != MsgType::kQueryData) return;
+    RegisterMessage resp;
+    resp.type = MsgType::kDataResp;
+    resp.op_id = msg->op_id;
+    resp.object = msg->object;
+    resp.tag = Tag{1'000'000, ProcessId::writer(9)};
+    resp.value = Bytes{'?'};
+    ctx.send(env.from, resp);
+  }
+};
+
+// One RB client has reads of two objects in flight while a write lands on
+// each. The schedule lets each read finish only through server 1's
+// DATA-UPDATE push, so each read's subscription there must survive the
+// other read's QUERY-DATA and READ-DONE.
+TEST(MultiObjectRbTest, ConcurrentReadsOfTwoObjectsEachGetTheirPush) {
+  sim::Simulator sim(sim::SimConfig::with_fixed_delay(5, 100));
+  SystemConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  std::vector<std::unique_ptr<RbServer>> servers;
+  for (uint32_t i = 0; i < 3; ++i) {
+    servers.push_back(
+        std::make_unique<RbServer>(ProcessId::server(i), cfg, &sim, Bytes{}));
+    sim.add_process(ProcessId::server(i), servers.back().get());
+  }
+  adversary::ServerContext ctx;
+  ctx.self = ProcessId::server(3);
+  ctx.config = cfg;
+  ctx.transport = &sim;
+  adversary::ByzantineServer liar(std::move(ctx),
+                                  std::make_unique<InflatingStrategy>());
+  sim.add_process(ProcessId::server(3), &liar);
+
+  ClientOptions rb;
+  rb.variant = ProtocolVariant::kRb;
+  RegisterClient writer(ProcessId::writer(0), cfg, &sim, rb);
+  RegisterClient reader(ProcessId::reader(0), cfg, &sim, rb);
+  sim.add_process(ProcessId::writer(0), &writer);
+  sim.add_process(ProcessId::reader(0), &reader);
+
+  // Both writes are RB-delivered at t = 500. The reader's QUERY-DATA
+  // reaches server 1 before that (answer: v0, plus a subscription) and
+  // server 0 after (answer: the new pair); server 2's answer comes far too
+  // late and server 3 inflates. With {v0, new, inflated} in hand, H is the
+  // new tag but only server 0 vouches for it: server 1's push decides.
+  sim.delay_model().set_hook([](const net::Envelope& env) -> std::optional<TimeNs> {
+    if (env.from != ProcessId::reader(0)) return std::nullopt;
+    if (env.to == ProcessId::server(0)) return TimeNs{2'000};
+    if (env.to == ProcessId::server(2)) return TimeNs{1'000'000'000};
+    return std::nullopt;
+  });
+
+  int writes = 0;
+  writer.write(1, val("one"), [&](const WriteResult&) { ++writes; });
+  writer.write(2, val("two"), [&](const WriteResult&) { ++writes; });
+  std::map<uint32_t, Bytes> got;
+  reader.read(1, [&](const ReadResult& r) { got[1] = r.value; });
+  reader.read(2, [&](const ReadResult& r) { got[2] = r.value; });
+  sim.run_until_time(100'000);
+
+  EXPECT_EQ(writes, 2);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1], val("one"));
+  EXPECT_EQ(got[2], val("two"));
 }
 
 }  // namespace

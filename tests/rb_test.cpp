@@ -2,6 +2,7 @@
 // whose latency cost motivates the paper (Section I-B, Section VI / [15]).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "checker/consistency.h"
@@ -116,6 +117,32 @@ TEST(RbRegisterTest, ConcurrentWritersBothLand) {
   EXPECT_NE(cluster.write_result(w0).tag, cluster.write_result(w1).tag);
   const auto r = cluster.read(0);
   EXPECT_TRUE(r.value == val("a") || r.value == val("b"));
+}
+
+TEST(RbRegisterTest, ReadDoneOvertakingItsQueryLeavesNoSubscription) {
+  // Channels need not be FIFO: server 3 gets the read's READ-DONE before
+  // its QUERY-DATA. The late query must not subscribe the finished read,
+  // or every later write would push DATA-UPDATEs to it.
+  ClusterOptions o = rb_options(4, 1, 13);
+  o.delay_lo = o.delay_hi = 100;
+  SimCluster cluster(o);
+  int pushes = 0;
+  cluster.sim().delay_model().set_hook(
+      [&](const net::Envelope& env) -> std::optional<TimeNs> {
+        const auto msg = registers::RegisterMessage::parse(env.payload);
+        if (!msg) return std::nullopt;
+        if (msg->type == registers::MsgType::kDataUpdate) ++pushes;
+        if (msg->type == registers::MsgType::kQueryData &&
+            env.to == ProcessId::server(3)) {
+          return TimeNs{5'000};
+        }
+        return std::nullopt;
+      });
+  EXPECT_EQ(cluster.read(0).value, Bytes{});
+  cluster.sim().run_until_idle();  // the late query lands at server 3
+  cluster.write(0, val("later"));
+  cluster.sim().run_until_idle();
+  EXPECT_EQ(pushes, 0);
 }
 
 class RbRandomScheduleTest : public ::testing::TestWithParam<uint64_t> {};
