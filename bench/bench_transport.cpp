@@ -19,12 +19,13 @@
 // return. Throughput is counted at the sink (one-way payload bytes), so the
 // numbers measure the data plane the registers actually ride: many clients
 // converging on one server, full-duplex sockets, handlers firing on the
-// destination's mailbox thread.
+// event-loop shard that owns the destination's delivery context (both
+// transports run on the same runtime::EventLoop shards).
 //
 // The shard sweep re-runs the small-payload points with the sink split
 // into 1/2/4/8 delivery shards (IProcess::delivery_shards) to expose how
-// the MPSC-ring control plane scales when a hot process fans its handlers
-// out; rows carry a "shards" field so bench_regress keys them apart.
+// the MPSC-ring control plane scales when a hot process spreads its
+// contexts over the loop shards; rows carry a "shards" field so bench_regress keys them apart.
 //
 // The JSON snapshot (schema bftreg-bench-transport-v1, points keyed by
 // (transport, size, fanin[, shards])) is diffed against the checked-in
@@ -95,7 +96,7 @@ class CreditSource final : public net::IProcess {
         total_(total),
         window_(window) {}
 
-  /// Runs on the source's mailbox thread (posted by the driver).
+  /// Runs on the source's loop shard (posted by the driver).
   void pump() {
     while (sent_ < total_ && sent_ - acked_ < window_) {
       transport_->send_payload(self_, sink_, payload_);
@@ -120,7 +121,7 @@ class CreditSource final : public net::IProcess {
   const Payload payload_;
   const uint64_t total_;
   const uint64_t window_;
-  // sent_/acked_ are touched only on the mailbox thread; done_ mirrors
+  // sent_/acked_ are touched only on the source's loop shard; done_ mirrors
   // acked_ for the driver's completion poll.
   uint64_t sent_{0};
   uint64_t acked_{0};

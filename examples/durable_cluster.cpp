@@ -9,10 +9,13 @@
 // costs and what compaction reclaims.
 //
 //   ./build/examples/durable_cluster
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "registers/registers.h"
@@ -23,9 +26,20 @@
 using namespace bftreg;
 
 int main() {
+  // A directory of this run's own (the pid names it), so concurrent runs
+  // never share a WAL; removed again at exit.
   const std::string wal_dir =
-      (std::filesystem::temp_directory_path() / "bftreg_durable_example").string();
+      (std::filesystem::temp_directory_path() /
+       ("bftreg_durable_example." + std::to_string(::getpid())))
+          .string();
   std::filesystem::create_directories(wal_dir);
+  struct RemoveAtExit {
+    const std::string& dir;
+    ~RemoveAtExit() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  } remove_at_exit{wal_dir};
 
   sim::Simulator sim(sim::SimConfig::with_uniform_delay(17, 500, 1500));
   registers::SystemConfig cfg;

@@ -1,22 +1,16 @@
 // Annotated synchronization primitives.
 //
-// Thin wrappers over std::mutex / std::condition_variable that carry the
-// Clang capability attributes from thread_annotations.h. libstdc++'s
-// std::mutex is not annotated, so the analysis cannot see through it; the
-// wrappers give every lock in the codebase a capability identity that
-// GUARDED_BY / REQUIRES annotations can reference. Zero overhead: the
-// methods are inline forwarding calls.
+// Thin wrappers over std::mutex that carry the Clang capability attributes
+// from thread_annotations.h. libstdc++'s std::mutex is not annotated, so
+// the analysis cannot see through it; the wrappers give every lock in the
+// codebase a capability identity that GUARDED_BY / REQUIRES annotations
+// can reference. Zero overhead: the methods are inline forwarding calls.
 //
-// Usage discipline (checked by tools/bftreg_lint):
-//   * every Mutex member has at least one GUARDED_BY companion field in the
-//     same file, so the lock's protectorate is written down;
-//   * condition-variable waits are written as explicit `while (...) wait()`
-//     loops so the predicate's guarded reads happen in a function that
-//     demonstrably holds the capability.
+// Usage discipline (checked by tools/bftreg_lint): every Mutex member has
+// at least one GUARDED_BY companion field in the same file, so the lock's
+// protectorate is written down.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -34,14 +28,12 @@ class CAPABILITY("mutex") Mutex {
   bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   friend class MutexLock;
   // bftreg-lint: allow(unguarded-mutex) -- the wrapper *is* the capability.
   std::mutex mu_;
 };
 
-/// RAII lock; supports explicit unlock()/lock() for wait-style hand-off
-/// (scheduler_loop releases around route()).
+/// RAII lock.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ACQUIRE(mu) : lock_(mu.mu_) {}
@@ -50,36 +42,8 @@ class SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  void unlock() RELEASE() { lock_.unlock(); }
-  void lock() ACQUIRE() { lock_.lock(); }
-
  private:
-  friend class CondVar;
-  std::unique_lock<std::mutex> lock_;
-};
-
-/// Condition variable bound to MutexLock. Predicate-less by design: call
-/// sites spell the wait loop out so guarded reads stay inside annotated
-/// functions (clang cannot propagate capabilities into a lambda).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
-  void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& dur) {
-    return cv_.wait_for(lock.lock_, dur);
-  }
-
- private:
-  std::condition_variable cv_;
+  std::lock_guard<std::mutex> lock_;
 };
 
 }  // namespace bftreg

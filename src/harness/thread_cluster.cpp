@@ -40,7 +40,7 @@ void ThreadCluster::restart_server(size_t index) {
   assert(started_.load() && "restart_server needs a running network");
   const ProcessId pid = ProcessId::server(static_cast<uint32_t>(index));
 
-  // Crash, then wait until no mailbox thread is inside the old server's
+  // Crash, then wait until no loop shard is inside the old server's
   // handler: its last WAL append has fully returned, so the replay below
   // reads a file no one is writing.
   net_->mark_crashed(pid);
@@ -50,8 +50,8 @@ void ThreadCluster::restart_server(size_t index) {
   net_->revive(pid);
   net_->post(pid, [raw] { raw->begin_catch_up(); });
 
-  // Block until the catch-up state machine finishes (peers answer on their
-  // own mailbox threads). Bounded: a wedged catch-up should fail the drill
+  // Block until the catch-up state machine finishes (peers answer on the
+  // loop shards). Bounded: a wedged catch-up should fail the drill
   // loudly, not hang the suite.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);

@@ -2,7 +2,7 @@
 // threads.
 //
 // The same Deployment as SimCluster (deployment.h), but the processes run
-// on runtime::ThreadNetwork (one mailbox thread per delivery shard, real
+// on runtime::ThreadNetwork (handlers on the shared event-loop shards, real
 // delays, wall-clock time) and operations are blocking calls through
 // BlockingRegisterClient, safe to issue from concurrent caller threads --
 // one caller per client, per the model's one-operation-per-client rule.
@@ -10,9 +10,9 @@
 // ready-made deployment harness.
 //
 // Sharded servers: set options.config.server_shards > 1 and each
-// RegisterServer splits its object table across that many mailbox threads
-// (hash(object)-disjoint, see registers/server.h); clients and protocol
-// semantics are unaffected.
+// RegisterServer splits its object table across that many delivery
+// contexts, spread over the loop shards (hash(object)-disjoint, see
+// registers/server.h); clients and protocol semantics are unaffected.
 #pragma once
 
 #include <atomic>
@@ -60,7 +60,7 @@ class ThreadCluster {
   /// Stops the underlying network. Inherits ThreadNetwork::stop()'s
   /// contract: idempotent, concurrent calls allowed (only the first does
   /// the work), and must come from a client/owner thread -- never from a
-  /// protocol callback, which runs on a network-owned mailbox thread.
+  /// protocol callback, which runs on a network-owned loop shard.
   void stop();
 
   /// Blocking operations; safe to call from one thread per client index.
@@ -68,11 +68,11 @@ class ThreadCluster {
   registers::ReadResult read(size_t reader);
 
   /// Crash-and-rejoin under live traffic (requires options.wal_dir; the
-  /// network must be started). Marks the server crashed, quiesces its
-  /// mailbox threads (so WAL replay cannot race a half-run handler), swaps
-  /// in a recovered server (kCatchUpBeforeServe), revives delivery, and
+  /// network must be started). Marks the server crashed, quiesces the
+  /// shards that run it (so WAL replay cannot race a half-run handler),
+  /// swaps in a recovered server (kCatchUpBeforeServe), revives delivery, and
   /// BLOCKS until quorum catch-up completes and the server is serving
-  /// again. Call from an external (non-mailbox) thread only -- same
+  /// again. Call from an external (non-shard) thread only -- same
   /// contract as stop().
   void restart_server(size_t index);
 

@@ -3,8 +3,8 @@
 // Protocol code (writers, readers, servers, broadcast) is written once as
 // event-driven state machines against `Transport` + `IProcess`, then run
 // either deterministically under the discrete-event `sim::Simulator` or in
-// real time under the `runtime::ThreadNetwork`. This is the central design
-// decision of the repo (DESIGN.md §6.1).
+// real time under `runtime::ThreadNetwork` and `socknet::TcpNetwork`. This
+// is the central design decision of the repo (DESIGN.md §6.1).
 #pragma once
 
 #include <algorithm>
@@ -27,18 +27,17 @@ namespace bftreg::net {
 /// handler threads, how much outbound buffering" in a single struct instead
 /// of a grab-bag of per-transport fields.
 struct TransportOptions {
-  /// Event-loop shards (socknet::EventLoop): every connection, listener,
-  /// and timer is owned by exactly one shard's epoll set, so the I/O
-  /// thread count is fixed at this value no matter how many endpoints are
-  /// registered. 0 = auto (hardware concurrency clamped to [1, 4]).
+  /// Event-loop shards (runtime::EventLoop): every connection, listener,
+  /// timer and delivery context is owned by exactly one shard, so the
+  /// transport's thread count is fixed at this value no matter how many
+  /// endpoints are registered. ThreadNetwork uses the resolved default.
+  /// 0 = auto (hardware concurrency clamped to [1, 4]).
   size_t loop_shards{0};
-  /// Handler (mailbox) thread budget of the in-memory runtime
-  /// (runtime::ThreadNetwork); TcpNetwork does not use it, because its
-  /// handlers run to completion on the loop shards that own their
-  /// delivery contexts. ThreadNetwork today still runs one mailbox thread
-  /// per (process, delivery shard), so nothing reads the value yet; it is
-  /// kept, and validated by SystemConfig, so existing configs stay valid.
-  /// 0 = auto (hardware concurrency clamped to [2, 8]).
+  /// Read by no transport: both run their handlers on the loop shards
+  /// that own the delivery contexts. The field stays, with its
+  /// SystemConfig validation, only because the end-to-end bench prints it
+  /// in its host line (e2ebench/main.cpp). 0 = auto (hardware concurrency
+  /// clamped to [2, 8]).
   size_t mailbox_shards{0};
   /// Per-destination outbound queue cap in bytes (headers + payloads),
   /// counting both frames not yet picked up by the event loop and frames
@@ -69,15 +68,16 @@ struct TransportOptions {
 
 /// A participant in the protocol. Handlers are always invoked in the
 /// process's execution context. By default that context is singular
-/// (simulator event or one mailbox thread), so handlers never run
-/// concurrently for the same process. A process may opt into parallel
-/// delivery by overriding delivery_shards()/shard_of(): the threaded
-/// transports then run one mailbox per shard, and the serialization
-/// guarantee narrows to *per shard* -- two envelopes mapping to the same
-/// shard are still handled one at a time and in push order, but handlers
-/// for different shards of the same process run concurrently. The
-/// discrete-event simulator ignores sharding (it is single-threaded, so
-/// the default guarantee holds there regardless).
+/// (simulator event, or the one event-loop shard that owns the process),
+/// so handlers never run concurrently for the same process. A process may
+/// opt into parallel delivery by overriding delivery_shards()/shard_of():
+/// the threaded transports then give each shard its own delivery context,
+/// owned by one loop shard, and the serialization guarantee narrows to
+/// *per shard* -- two envelopes mapping to the same shard are still
+/// handled one at a time and in push order, but handlers for different
+/// shards of the same process may run concurrently. The discrete-event
+/// simulator ignores sharding (it is single-threaded, so the default
+/// guarantee holds there regardless).
 class IProcess {
  public:
   virtual ~IProcess() = default;
@@ -104,8 +104,8 @@ class IProcess {
     return 0;
   }
 
-  /// Mailbox batch brackets. Transports that drain deliveries in batches
-  /// (runtime mailboxes, socknet loop shards) call on_batch_begin(shard)
+  /// Batch brackets. Transports that drain deliveries in batches (the
+  /// event-loop shards of both threaded transports) call on_batch_begin(shard)
   /// on `shard`'s delivery thread before a run of consecutive on_message
   /// calls for this process, and on_batch_end(shard) after the run -- both
   /// under exactly the same serialization guarantee as on_message itself.
@@ -141,8 +141,9 @@ class Transport {
   virtual TimeNs now() const = 0;
 
   /// Runs `fn` in `pid`'s execution context (as a zero-delay event in the
-  /// simulator; on the mailbox thread in the runtime). Used to inject
-  /// client operation starts without racing message handlers.
+  /// simulator; on the loop shard that owns context 0 in the threaded
+  /// transports). Used to inject client operation starts without racing
+  /// message handlers.
   virtual void post(const ProcessId& pid, std::function<void()> fn) = 0;
 
   /// Runs `fn` in `pid`'s execution context no earlier than `delta` ns from

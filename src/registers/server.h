@@ -14,7 +14,7 @@
 // shard_of below). Every message that names an object routes to the shard
 // that owns it, so each shard's store (a CompactObjectStore -- one lock-free
 // object table, slab-backed logs; see registers/object_store.h) is written
-// by exactly one mailbox thread and needs no lock. The one cross-shard
+// by exactly one delivery context and needs no lock. The one cross-shard
 // read -- QUERY-DATA-BATCH, whose object list can span owners -- probes the
 // owner's object table, which any thread may read, and copies the
 // object's per-object seqlock snapshot (common/seqlock.h) of the newest

@@ -1,13 +1,13 @@
 // Lock-free delivery queues for the real-time transports.
 //
-// An `Inbox` is the consumer-agnostic core: producers (sender threads,
-// socket readers, other event-loop shards) publish `MailItem`s into a
-// bounded MPSC ring (common/mpsc_ring.h) and the one thread that owns the
-// inbox drains them in batches. A full ring spills to a mutex-guarded deque
-// instead of failing the push (reliable channels must not drop). The inbox
-// also carries the consumer's park handshake, but not the wait itself: a
-// `MailboxShard` (runtime::ThreadNetwork) parks on a condition variable,
-// a socknet::LoopShard parks in epoll_wait and is woken through an eventfd.
+// An `Inbox` is the queue of one event-loop shard (runtime/event_loop.h):
+// producers (sender threads, socket readers, other shards, timers) publish
+// `MailItem`s into a bounded MPSC ring (common/mpsc_ring.h) and the shard
+// thread drains them in batches. A full ring spills to a mutex-guarded
+// deque instead of failing the push (reliable channels must not drop). The
+// inbox also carries the consumer's park handshake, but not the wait
+// itself: the LoopShard parks in epoll_pwait2 and is woken through an
+// eventfd.
 //
 // Park/wake handshake (the only seq_cst in the inbox): a parking consumer
 // must not miss a push, and a producer must not wake a consumer that is
@@ -26,15 +26,14 @@
 // touches neither the spill mutex nor any wake syscall.
 //
 // `BatchBracket` is the one implementation of the IProcess batch-bracket
-// rule that every consumer shares: on_batch_begin/on_batch_end wrap each
-// run of consecutive deliveries to one (process, delivery shard) context.
+// rule: on_batch_begin/on_batch_end wrap each run of consecutive
+// deliveries to one (process, delivery shard) context.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -192,76 +191,6 @@ class Inbox {
   /// consume() only decides whether to bother taking the lock.
   std::atomic<bool> spilled_{false};
   std::atomic<bool> parked_{false};
-};
-
-/// An Inbox drained by a dedicated thread that parks on a condition
-/// variable: one delivery shard of one runtime::ThreadNetwork process.
-class MailboxShard {
- public:
-  explicit MailboxShard(size_t ring_capacity = Inbox::kDefaultRingCapacity)
-      : inbox_(ring_capacity) {}
-
-  MailboxShard(const MailboxShard&) = delete;
-  MailboxShard& operator=(const MailboxShard&) = delete;
-
-  /// Producer side; any thread. Never drops. Returns true when the item
-  /// spilled to the overflow deque.
-  bool push_item(MailItem&& item) {
-    const Inbox::Pushed pushed = inbox_.push(std::move(item));
-    if (pushed.wake) {
-      // Taken under mu_, which the consumer holds from try_park() until
-      // cv_.wait() releases it: the notify cannot fall between the
-      // consumer's last emptiness check and its wait.
-      MutexLock lock(mu_);
-      cv_.notify_one();
-    }
-    return pushed.spilled;
-  }
-
-  /// Consumer side; single thread only. Invokes `fn(item)` on the next
-  /// batch of items, blocking while the shard is empty. Returns false only
-  /// when stop() was called and everything already pushed has been
-  /// drained; callers loop `while (pop_wait_consume(fn)) {}`.
-  template <typename Fn>
-  bool pop_wait_consume(Fn&& fn) {
-    bool yielded = false;
-    for (;;) {
-      if (inbox_.consume(fn) > 0) return true;
-
-      // One yield before parking: on a loaded box the producer that is
-      // about to feed us is often runnable on this core right now, and
-      // letting it run skips a futex wait/wake round trip. Bounded to a
-      // single attempt so a truly idle shard still parks promptly.
-      if (!yielded) {
-        yielded = true;
-        std::this_thread::yield();
-        continue;
-      }
-
-      MutexLock lock(mu_);
-      if (!inbox_.try_park()) continue;
-      if (stopped_) {
-        inbox_.unpark();
-        return false;
-      }
-      cv_.wait(lock);
-      inbox_.unpark();
-    }
-  }
-
-  /// Unblocks the consumer; pop_wait keeps returning batches until the
-  /// shard is fully drained, then returns false. Idempotent; any thread.
-  void stop() {
-    MutexLock lock(mu_);
-    stopped_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  Inbox inbox_;
-  Mutex mu_;
-  CondVar cv_;
-  bool stopped_ GUARDED_BY(mu_){false};
 };
 
 }  // namespace bftreg::runtime

@@ -2,14 +2,76 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "common/log.h"
+#include <latch>
 
 namespace bftreg::runtime {
+
+/// What the network holds for one registered process.
+struct ThreadNetwork::Proc {
+  /// Atomic so replace_process can swap in a recovered server while the
+  /// shards run; gates load it per item (acquire pairs with the swap's
+  /// release, ordering the new object's construction first).
+  std::atomic<net::IProcess*> process{nullptr};
+  std::atomic<bool> crashed{false};
+  /// EventLoop::shard_of(pid): runs context 0, tasks and timers.
+  size_t home{0};
+  /// One gate per delivery context (IProcess::delivery_shards, >= 1).
+  std::vector<std::unique_ptr<Gate>> gates;
+};
+
+/// One delivery context of a registered process, as its owning shard sees
+/// it. Every delivery to the context carries the gate as MailItem::proc, so
+/// the shard's batch bracket opens and closes on the gate, and the gate
+/// applies the crash and replace rules to each item. Only the owning
+/// shard's thread touches `open_`.
+class ThreadNetwork::Gate final : public net::IProcess {
+ public:
+  Gate(const Proc& proc, uint32_t context, LoopShard& owner)
+      : proc_(proc), context_(context), owner_(owner) {}
+
+  LoopShard& owner() const { return owner_; }
+
+  void on_message(const net::Envelope& env) override {
+    if (proc_.crashed.load(std::memory_order_acquire)) {
+      open_ = nullptr;  // the crash interrupted the bracket: drop it
+      return;
+    }
+    // Loaded per item: a backlog queued before replace_process reaches the
+    // replacement, which is just the network being slow.
+    net::IProcess* current = proc_.process.load(std::memory_order_acquire);
+    if (current != open_) {
+      if (open_ != nullptr) open_->on_batch_end(context_);
+      current->on_batch_begin(context_);
+      open_ = current;
+    }
+    current->on_message(env);
+  }
+
+  /// The bracket opens lazily in on_message, on the object that handles
+  /// the first delivery.
+  void on_batch_begin(uint32_t) override {}
+
+  void on_batch_end(uint32_t) override {
+    // A bracket the crash interrupted is dropped without on_batch_end: the
+    // hooks only amortize, and a revived or replaced process flushes what
+    // the dropped bracket left pending at its next batch.
+    if (open_ != nullptr && !proc_.crashed.load(std::memory_order_acquire)) {
+      open_->on_batch_end(context_);
+    }
+    open_ = nullptr;
+  }
+
+ private:
+  const Proc& proc_;
+  const uint32_t context_;
+  LoopShard& owner_;
+  net::IProcess* open_{nullptr};
+};
 
 ThreadNetwork::ThreadNetwork(RuntimeConfig config)
     : auth_(crypto::KeyRegistry(config.master_secret)),
       delay_(std::move(config.delay)),
+      loop_(net::TransportOptions{}.resolved().loop_shards),
       rng_(config.seed),
       epoch_(std::chrono::steady_clock::now()) {}
 
@@ -17,19 +79,19 @@ ThreadNetwork::~ThreadNetwork() { stop(); }
 
 void ThreadNetwork::add_process(const ProcessId& pid, net::IProcess* process) {
   assert(!running_.load(std::memory_order_acquire));
-  auto box = std::make_unique<Mailbox>();
-  box->process.store(process, std::memory_order_relaxed);
-  const uint32_t nshards = std::max<uint32_t>(1, process->delivery_shards());
-  box->shards.reserve(nshards);
-  box->active.reserve(nshards);
-  for (uint32_t s = 0; s < nshards; ++s) {
-    box->shards.push_back(std::make_unique<MailboxShard>());
-    box->active.push_back(std::make_unique<std::atomic<int>>(0));
+  auto proc = std::make_unique<Proc>();
+  proc->process.store(process, std::memory_order_relaxed);
+  proc->home = loop_.shard_of(pid);
+  const uint32_t contexts = std::max<uint32_t>(1, process->delivery_shards());
+  proc->gates.reserve(contexts);
+  for (uint32_t c = 0; c < contexts; ++c) {
+    proc->gates.push_back(std::make_unique<Gate>(
+        *proc, c, loop_.shard(loop_.context_shard(proc->home, c))));
   }
   auto& slots = by_role_[static_cast<uint8_t>(pid.role)];
   if (slots.size() <= pid.index) slots.resize(pid.index + 1, nullptr);
-  slots[pid.index] = box.get();
-  boxes_[pid] = std::move(box);
+  slots[pid.index] = proc.get();
+  procs_[pid] = std::move(proc);
 }
 
 void ThreadNetwork::start() {
@@ -37,96 +99,73 @@ void ThreadNetwork::start() {
   running_.store(true, std::memory_order_release);
   {
     std::vector<ProcessId> pids;
-    pids.reserve(boxes_.size());
-    for (const auto& [pid, box] : boxes_) pids.push_back(pid);
+    pids.reserve(procs_.size());
+    for (const auto& [pid, proc] : procs_) pids.push_back(pid);
     auth_.precompute(pids);
   }
-  sched_thread_ = std::thread([this] { scheduler_loop(); });
-  for (auto& [pid, box] : boxes_) {
-    Mailbox* b = box.get();
-    b->threads.reserve(b->shards.size());
-    for (size_t s = 0; s < b->shards.size(); ++s) {
-      MailboxShard* shard = b->shards[s].get();
-      std::atomic<int>* active = b->active[s].get();
-      b->threads.emplace_back(
-          [this, b, shard, active] { mailbox_loop(b, shard, active); });
-    }
-    enqueue(b, 0, MailItem{nullptr, {}, [b] {
-                    b->process.load(std::memory_order_acquire)->on_start();
-                  }});
+  for (const auto& [pid, proc] : procs_) {
+    Proc* p = proc.get();
+    post(pid, [p] { p->process.load(std::memory_order_acquire)->on_start(); });
   }
-}
-
-bool ThreadNetwork::on_internal_thread() const {
-  const auto self = std::this_thread::get_id();
-  if (sched_thread_.joinable() && self == sched_thread_.get_id()) return true;
-  for (const auto& [pid, box] : boxes_) {
-    for (const auto& t : box->threads) {
-      if (t.joinable() && self == t.get_id()) return true;
-    }
-  }
-  return false;
+  loop_.start();
 }
 
 void ThreadNetwork::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Joining our own mailbox/scheduler thread would deadlock; stop() is an
+  // Joining our own loop thread would deadlock; stop() is an
   // external-thread API (see header contract).
-  assert(!on_internal_thread() && "stop() called from a network-owned thread");
-  {
-    MutexLock lock(sched_mu_);
-    sched_cv_.notify_all();
-  }
-  if (sched_thread_.joinable()) sched_thread_.join();
-  for (auto& [pid, box] : boxes_) {
-    for (auto& shard : box->shards) shard->stop();
-    for (auto& t : box->threads) {
-      if (t.joinable()) t.join();
-    }
-  }
+  assert(!loop_.on_loop_thread() && "stop() called from a network-owned thread");
+  loop_.stop([](size_t) {});
 }
 
 void ThreadNetwork::mark_crashed(const ProcessId& pid) {
-  if (Mailbox* box = find(pid)) {
-    // seq_cst pairs with the handler's seq_cst entry token: see quiesce().
-    box->crashed.store(true, std::memory_order_seq_cst);
+  if (Proc* proc = find(pid)) {
+    proc->crashed.store(true, std::memory_order_release);
   }
 }
 
 void ThreadNetwork::quiesce(const ProcessId& pid) {
-  Mailbox* box = find(pid);
-  if (box == nullptr) return;
-  assert(box->crashed.load(std::memory_order_seq_cst) &&
+  Proc* proc = find(pid);
+  if (proc == nullptr || !running_.load(std::memory_order_acquire)) return;
+  assert(proc->crashed.load(std::memory_order_acquire) &&
          "quiesce() requires mark_crashed() first");
-  // Dekker handshake with the handler: it increments its token seq_cst and
-  // THEN checks crashed. In the single total order, either the handler saw
-  // crashed == true (and skips the process), or its increment precedes our
-  // crashed store -- in which case the load below observes the token held
-  // until that handler exits. Once all counters read 0, no old-process
-  // handler runs or can start.
-  for (const auto& active : box->active) {
-    while (active->load(std::memory_order_seq_cst) != 0) {
-      std::this_thread::yield();
+  assert(!loop_.on_loop_thread() && "quiesce() on a shard waits on itself");
+  // The shards that own one of pid's contexts, each once.
+  std::vector<LoopShard*> owners;
+  for (const auto& gate : proc->gates) {
+    if (std::find(owners.begin(), owners.end(), &gate->owner()) ==
+        owners.end()) {
+      owners.push_back(&gate->owner());
     }
   }
+  // The crashed store above happens before each barrier item is pushed, so
+  // every item a shard takes after its barrier sees the crash. Shared, not
+  // on this stack: a shard may still be inside count_down() when the wait
+  // returns.
+  auto barrier =
+      std::make_shared<std::latch>(static_cast<std::ptrdiff_t>(owners.size()));
+  for (LoopShard* owner : owners) {
+    owner->post([barrier] { barrier->count_down(); });
+  }
+  barrier->wait();
 }
 
 void ThreadNetwork::replace_process(const ProcessId& pid,
                                     net::IProcess* process) {
-  Mailbox* box = find(pid);
-  if (box == nullptr) return;
+  Proc* proc = find(pid);
+  if (proc == nullptr) return;
   assert(std::max<uint32_t>(1, process->delivery_shards()) ==
-             box->shards.size() &&
+             proc->gates.size() &&
          "replacement process must use the same shard count");
-  // Release pairs with the handler's per-item acquire load: everything the
+  // Release pairs with the gate's per-item acquire load: everything the
   // replacement's constructor did (WAL replay included) is visible before
   // any handler runs it.
-  box->process.store(process, std::memory_order_release);
+  proc->process.store(process, std::memory_order_release);
 }
 
 void ThreadNetwork::revive(const ProcessId& pid) {
-  if (Mailbox* box = find(pid)) {
-    box->crashed.store(false, std::memory_order_seq_cst);
+  if (Proc* proc = find(pid)) {
+    proc->crashed.store(false, std::memory_order_release);
   }
 }
 
@@ -136,74 +175,23 @@ TimeNs ThreadNetwork::now() const {
                                  .count());
 }
 
-ThreadNetwork::Mailbox* ThreadNetwork::find(const ProcessId& pid) const {
+ThreadNetwork::Proc* ThreadNetwork::find(const ProcessId& pid) const {
   const auto role = static_cast<uint8_t>(pid.role);
   if (role >= 3) return nullptr;
   const auto& slots = by_role_[role];
   return pid.index < slots.size() ? slots[pid.index] : nullptr;
 }
 
-void ThreadNetwork::enqueue(Mailbox* box, uint32_t shard, MailItem item) {
-  item.shard = shard;
-  if (box->shards[shard]->push_item(std::move(item))) {
-    metrics_.on_mailbox_overflow();
-  }
-}
-
-void ThreadNetwork::mailbox_loop(Mailbox* box, MailboxShard* shard,
-                                 std::atomic<int>* active) {
-  // pop_wait_consume drains whole batches in place: under load the ring
-  // hands us bursts without a lock in sight, and the per-item crashed
-  // check is preserved -- a crash takes effect mid-batch, exactly as it
-  // did item-by-item.
-  //
-  // The entry token goes up seq_cst BEFORE the crashed check (the other
-  // half of quiesce()'s Dekker handshake), and the current process object
-  // is loaded per item -- `item.proc` only discriminates envelope vs task,
-  // so an item enqueued before a replace_process delivers to the NEW
-  // process, which is indistinguishable from the network being slow.
-  // Batch brackets (IProcess::on_batch_begin/end): a bracket opens lazily
-  // before the first delivery of a ring batch and closes when the batch is
-  // drained -- or early, when a task item interleaves or the loaded process
-  // object changes (replace_process), so a bracketed process never spans
-  // foreign work. A crash observed mid-batch abandons the bracket without
-  // calling on_batch_end: the hooks are amortization-only by contract, and
-  // a revived/replaced process flushes whatever the abandoned bracket left
-  // pending at its next batch (indistinguishable from network delay).
-  BatchBracket bracket;
-  auto close_batch = [box, active, &bracket] {
-    if (!bracket.is_open()) return;
-    active->fetch_add(1, std::memory_order_seq_cst);
-    if (box->crashed.load(std::memory_order_seq_cst)) {
-      bracket.abandon();
-    } else {
-      bracket.close();
-    }
-    active->fetch_sub(1, std::memory_order_release);
+std::function<void()> ThreadNetwork::gated(const Proc* proc,
+                                           std::function<void()> fn) {
+  return [proc, fn = std::move(fn)] {
+    if (!proc->crashed.load(std::memory_order_acquire)) fn();
   };
-  auto handle = [box, active, &bracket](MailItem& item) {
-    active->fetch_add(1, std::memory_order_seq_cst);
-    if (!box->crashed.load(std::memory_order_seq_cst)) {
-      if (item.proc != nullptr) {
-        bracket.deliver(box->process.load(std::memory_order_acquire),
-                        item.shard, item.env);
-      } else if (item.fn) {
-        bracket.close();
-        item.fn();
-      }
-    } else {
-      bracket.abandon();  // crashed: never re-enter the bracket
-    }
-    active->fetch_sub(1, std::memory_order_release);
-  };
-  while (shard->pop_wait_consume(handle)) {
-    close_batch();
-  }
 }
 
 void ThreadNetwork::send_payload(const ProcessId& from, const ProcessId& to,
                                  Payload payload) {
-  if (Mailbox* src = find(from);
+  if (Proc* src = find(from);
       src != nullptr && src->crashed.load(std::memory_order_acquire)) {
     return;
   }
@@ -221,82 +209,50 @@ void ThreadNetwork::send_payload(const ProcessId& from, const ProcessId& to,
     MutexLock lock(rng_mu_);
     d = delay_->delay(env, rng_);
   }
-  if (d == 0) {
-    route(std::move(env));
-    return;
-  }
-  MutexLock lock(sched_mu_);
-  sched_queue_.push(Timed{now() + d, env.seq, std::move(env), ProcessId{}, nullptr});
-  sched_cv_.notify_one();
-}
-
-void ThreadNetwork::route(net::Envelope env) {
-  Mailbox* box = find(env.to);
-  if (box == nullptr || box->crashed.load(std::memory_order_acquire)) return;
-  // Unlike the socket transport, no byte ever left this address space:
-  // every envelope was sealed by send_payload above over an immutable
-  // refcounted payload, so re-verifying here is the identity check by
-  // construction. Model the receiver-side verification as a debug
-  // assertion instead of burning a SipHash pass per delivery.
-  assert(auth_.verify(env.from, env.to, env.payload, env.mac));
-  metrics_.on_deliver();
-  net::IProcess* proc = box->process.load(std::memory_order_acquire);
+  Proc* dst = find(to);
+  if (dst == nullptr) return;
   // shard_of runs on the sender's thread by contract (pure function of the
   // envelope); the modulo keeps a buggy override in range.
-  uint32_t shard = 0;
-  if (box->shards.size() > 1) {
-    shard = proc->shard_of(env) % static_cast<uint32_t>(box->shards.size());
+  uint32_t context = 0;
+  if (dst->gates.size() > 1) {
+    context = dst->process.load(std::memory_order_acquire)->shard_of(env) %
+              static_cast<uint32_t>(dst->gates.size());
   }
-  enqueue(box, shard, MailItem{proc, std::move(env), nullptr});
+  if (d == 0) {
+    deliver(dst, context, std::move(env));
+    return;
+  }
+  // The delay runs on the shard that owns the destination context, which
+  // pushes the envelope to itself when it falls due.
+  dst->gates[context]->owner().run_after(
+      d, [this, dst, context, env = std::move(env)]() mutable {
+        deliver(dst, context, std::move(env));
+      });
 }
 
-void ThreadNetwork::scheduler_loop() {
-  MutexLock lock(sched_mu_);
-  for (;;) {
-    if (!running_.load(std::memory_order_acquire)) {
-      // Shutting down: anything not yet due is dropped -- pending
-      // post_after timers may be arbitrarily far in the future and must
-      // not stall stop(), which joins this thread.
-      while (!sched_queue_.empty() && sched_queue_.top().due <= now()) {
-        Timed item = std::move(const_cast<Timed&>(sched_queue_.top()));
-        sched_queue_.pop();
-        lock.unlock();
-        if (item.fn) {
-          post(item.pid, std::move(item.fn));
-        } else {
-          route(std::move(item.env));
-        }
-        lock.lock();
-      }
-      return;
-    }
-    if (sched_queue_.empty()) {
-      sched_cv_.wait(lock);
-      continue;
-    }
-    const TimeNs due = sched_queue_.top().due;
-    const TimeNs t = now();
-    if (t < due) {
-      sched_cv_.wait_for(lock, std::chrono::nanoseconds(due - t));
-      continue;
-    }
-    Timed item = std::move(const_cast<Timed&>(sched_queue_.top()));
-    sched_queue_.pop();
-    lock.unlock();
-    if (item.fn) {
-      post(item.pid, std::move(item.fn));
-    } else {
-      route(std::move(item.env));
-    }
-    lock.lock();
+void ThreadNetwork::deliver(Proc* dst, uint32_t context, net::Envelope&& env) {
+  if (dst->crashed.load(std::memory_order_acquire)) return;
+  // Unlike the socket transport, no byte ever left this address space:
+  // every envelope was sealed by send_payload over an immutable refcounted
+  // payload, so re-verifying here is the identity check by construction.
+  // Model the receiver-side verification as a debug assertion instead of
+  // burning a SipHash pass per delivery.
+  assert(auth_.verify(env.from, env.to, env.payload, env.mac));
+  metrics_.on_deliver();
+  Gate* gate = dst->gates[context].get();
+  if (gate->owner().push(MailItem{gate, std::move(env), nullptr, context})) {
+    metrics_.on_mailbox_overflow();
   }
 }
 
 void ThreadNetwork::post(const ProcessId& pid, std::function<void()> fn) {
-  // Tasks (client op starts, timer fires) always run on shard 0 so they
-  // keep the single-context guarantee protocol clients rely on.
-  if (Mailbox* box = find(pid)) {
-    enqueue(box, 0, MailItem{nullptr, {}, std::move(fn)});
+  // Tasks (on_start, client op starts) run on the home shard, in context 0,
+  // so they keep the single-context guarantee protocol clients rely on.
+  Proc* proc = find(pid);
+  if (proc == nullptr) return;
+  if (loop_.shard(proc->home)
+          .push(MailItem{nullptr, {}, gated(proc, std::move(fn))})) {
+    metrics_.on_mailbox_overflow();
   }
 }
 
@@ -306,10 +262,12 @@ void ThreadNetwork::post_after(const ProcessId& pid, TimeNs delta,
     post(pid, std::move(fn));
     return;
   }
-  MutexLock lock(sched_mu_);
-  sched_queue_.push(Timed{now() + delta, next_seq_.fetch_add(1, std::memory_order_relaxed),
-                          net::Envelope{}, pid, std::move(fn)});
-  sched_cv_.notify_one();
+  // Timers live on the home shard too, so a timer fires straight into
+  // context 0. Pending timers are dropped at stop() by the LoopShard
+  // contract, matching the Transport interface.
+  if (Proc* proc = find(pid)) {
+    loop_.shard(proc->home).run_after(delta, gated(proc, std::move(fn)));
+  }
 }
 
 }  // namespace bftreg::runtime

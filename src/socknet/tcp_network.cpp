@@ -265,7 +265,8 @@ void TcpNetwork::deliver(Endpoint* ep, net::Envelope env) {
   // envelope); the modulo keeps a buggy override in range.
   uint32_t shard = 0;
   if (ep->contexts > 1) shard = proc->shard_of(env) % ep->contexts;
-  LoopShard& owner = loop_.shard((ep->home_shard + shard) % loop_.size());
+  runtime::LoopShard& owner =
+      loop_.shard(loop_.context_shard(ep->home_shard, shard));
   if (owner.deliver(proc, shard, std::move(env))) metrics_.on_mailbox_overflow();
 }
 
@@ -533,7 +534,7 @@ void TcpNetwork::send_payload(const ProcessId& from, const ProcessId& to,
 }
 
 void TcpNetwork::run_flush(Endpoint* ep, const ProcessId& to) {
-  LoopShard& home = loop_.shard(ep->home_shard);
+  runtime::LoopShard& home = loop_.shard(ep->home_shard);
   auto flush = [this, ep, to] { flush_task(ep, to); };
   // On the home shard (a handler of context 0, or a flush chaining a
   // redial) the flush runs when the current turn ends: after the batch

@@ -9,7 +9,7 @@
 // exactly that.
 //
 // Thread model (numbers in docs/PERF.md, "Run-to-completion delivery"):
-// N event-loop shards (socknet/event_loop.h) run everything -- sockets,
+// N event-loop shards (runtime/event_loop.h) run everything -- sockets,
 // handlers, tasks and timers -- so the thread count is N regardless of how
 // many endpoints are registered. An endpoint's home shard owns its
 // listener, every connection it dialed or accepted, its timers, and its
@@ -65,7 +65,7 @@
 #include "common/types.h"
 #include "crypto/auth.h"
 #include "net/transport.h"
-#include "socknet/event_loop.h"
+#include "runtime/event_loop.h"
 
 namespace bftreg::socknet {
 
@@ -283,7 +283,7 @@ class TcpNetwork final : public net::Transport {
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_;
 
-  EventLoop loop_;
+  runtime::EventLoop loop_;
   /// shard index -> conns owned by that shard's thread. The vector itself
   /// is immutable after construction; element s is touched only on shard
   /// s's loop thread (and in stop(), after the join).

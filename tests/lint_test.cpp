@@ -199,20 +199,30 @@ TEST(LintSocknetThread, ThreadOutsideEventLoopFlagged) {
 }
 
 TEST(LintSocknetThread, EventLoopPoolExempt) {
-  // The loop-shard pool is the transport's only legitimate thread spawn.
+  // The loop-shard pool is the transports' only legitimate thread spawn.
   EXPECT_FALSE(has_rule(
-      lint_content("src/socknet/event_loop.cpp",
+      lint_content("src/runtime/event_loop.cpp",
                    "threads_.emplace_back(std::thread([this] { loop(); }));\n"),
       "socknet-thread"));
   EXPECT_FALSE(has_rule(
-      lint_content("src/socknet/event_loop.h", "std::thread thread_;\n"),
+      lint_content("src/runtime/event_loop.h", "std::thread thread_;\n"),
+      "socknet-thread"));
+}
+
+TEST(LintSocknetThread, RuntimeThreadOutsideEventLoopFlagged) {
+  // The in-memory transport runs on the same shards: a mailbox or
+  // scheduler thread of its own is flagged too.
+  EXPECT_TRUE(has_rule(
+      lint_content("src/runtime/thread_network.cpp",
+                   "std::thread t([&] { pump(); });\n"),
       "socknet-thread"));
 }
 
 TEST(LintSocknetThread, OtherLayersNotCovered) {
-  // src/runtime keeps its thread allowance; this rule is socknet-only.
+  // src/harness keeps its thread allowance; this rule covers the
+  // transports only.
   EXPECT_FALSE(has_rule(
-      lint_content("src/runtime/thread_network.cpp",
+      lint_content("src/harness/thread_cluster.cpp",
                    "std::thread t([&] { pump(); });\n"),
       "socknet-thread"));
 }
@@ -793,7 +803,7 @@ TEST(LintSarif, GoldenDocument) {
       "        {\"id\": \"quorum-arithmetic\", \"shortDescription\": {\"text\": "
       "\"quorum-sized arithmetic outside config.h\"}},\n"
       "        {\"id\": \"socknet-thread\", \"shortDescription\": {\"text\": "
-      "\"std::thread in src/socknet outside the event-loop shard pool\"}},\n"
+      "\"std::thread in a transport outside the event-loop shard pool\"}},\n"
       "        {\"id\": \"unbounded-store\", \"shortDescription\": {\"text\": "
       "\"Tag-keyed std::map outside the compact object store\"}}\n"
       "      ]\n"

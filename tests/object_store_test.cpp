@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +119,14 @@ struct DifferentialCase {
   size_t max_history;
 };
 
+/// Names the case in test listings ("all_h3"). Without it gtest prints the
+/// struct's raw bytes, padding included, and the test names change from
+/// one build to the next.
+void PrintTo(const DifferentialCase& c, std::ostream* os) {
+  *os << (c.policy == StorePolicy::kAll ? "all_h" : "maxonly_h")
+      << c.max_history;
+}
+
 class ObjectStoreDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
 
@@ -191,6 +200,14 @@ struct IdStreamCase {
   size_t max_history;
 };
 
+/// Names the case ("strided_all_h3"), in test names and listings alike;
+/// like DifferentialCase, the struct has padding that gtest would print.
+void PrintTo(const IdStreamCase& c, std::ostream* os) {
+  *os << (c.stream == IdStream::kSequential ? "sequential" : "strided")
+      << (c.policy == StorePolicy::kAll ? "_all_h" : "_maxonly_h")
+      << c.max_history;
+}
+
 class ObjectStoreIdStreams : public ::testing::TestWithParam<IdStreamCase> {};
 
 TEST_P(ObjectStoreIdStreams, DifferentialSurvivesTableGrowth) {
@@ -210,14 +227,7 @@ INSTANTIATE_TEST_SUITE_P(
         IdStreamCase{IdStream::kSequential, StorePolicy::kMaxOnly, 1},
         IdStreamCase{IdStream::kStrided, StorePolicy::kAll, 3},
         IdStreamCase{IdStream::kStrided, StorePolicy::kMaxOnly, 1}),
-    [](const ::testing::TestParamInfo<IdStreamCase>& info) {
-      return std::string(info.param.stream == IdStream::kSequential
-                             ? "sequential"
-                             : "strided") +
-             (info.param.policy == StorePolicy::kAll ? "_all_h"
-                                                     : "_maxonly_h") +
-             std::to_string(info.param.max_history);
-    });
+    ::testing::PrintToStringParamName());
 
 // Every id in a 2^16-strided stream shares its low 16 bits, so masking the
 // raw id (std::hash's identity) would give all of them one home slot and

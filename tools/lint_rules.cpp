@@ -720,18 +720,20 @@ void line_rules(const std::string& rel_path, const Prepared& p,
            "std::thread outside src/runtime, src/socknet, src/harness; "
            "protocol code must stay single-threaded per process");
     }
-    // Within the TCP transport the thread budget is the event loop's:
-    // N loop shards, which run sockets and handlers alike, all owned by
-    // event_loop.{h,cpp}.
-    // Any other std::thread in src/socknet/ reintroduces the
-    // thread-per-endpoint design the shard rewrite removed.
-    if (starts_with(rel_path, "src/socknet/") &&
-        rel_path != "src/socknet/event_loop.h" &&
-        rel_path != "src/socknet/event_loop.cpp" &&
+    // Both real-time transports share one thread budget, the event loop's:
+    // N loop shards, which run sockets, handlers, tasks and timers alike,
+    // all owned by runtime/event_loop.{h,cpp}. Any other std::thread in
+    // src/runtime/ or src/socknet/ brings back a per-endpoint,
+    // per-process or scheduler thread that the shards replaced.
+    if ((starts_with(rel_path, "src/runtime/") ||
+         starts_with(rel_path, "src/socknet/")) &&
+        rel_path != "src/runtime/event_loop.h" &&
+        rel_path != "src/runtime/event_loop.cpp" &&
         std::regex_search(code, kRawThread)) {
       flag(i, "socknet-thread",
-           "std::thread in src/socknet outside event_loop.{h,cpp}; transport "
-           "threads belong to the LoopShard budget");
+           "std::thread in src/runtime or src/socknet outside "
+           "runtime/event_loop.{h,cpp}; transport threads belong to the "
+           "LoopShard budget");
     }
     if (std::regex_search(code, kDetach)) {
       flag(i, "detach",
@@ -1340,7 +1342,7 @@ constexpr RuleMeta kRuleCatalog[] = {
     // Appended last: ruleIndex values above are frozen by the SARIF golden.
     {"quorum-arithmetic", "quorum-sized arithmetic outside config.h"},
     {"socknet-thread",
-     "std::thread in src/socknet outside the event-loop shard pool"},
+     "std::thread in a transport outside the event-loop shard pool"},
     {"unbounded-store",
      "Tag-keyed std::map outside the compact object store"},
 };

@@ -92,13 +92,13 @@
 //                       on and costs a full fence on weakly-ordered
 //                       targets. Multi-line calls are handled by a bounded
 //                       paren-balanced look-ahead.
-//   socknet-thread      std::thread inside src/socknet/ anywhere but
-//                       event_loop.{h,cpp}. The transport's entire thread
-//                       budget is the LoopShard pool, which runs sockets
-//                       and handlers alike; a thread spawned elsewhere in
-//                       the transport is the per-endpoint reader/writer
-//                       design (or a separate handler pool) creeping back
-//                       in.
+//   socknet-thread      std::thread inside src/runtime/ or src/socknet/
+//                       anywhere but runtime/event_loop.{h,cpp}. Both
+//                       real-time transports' entire thread budget is the
+//                       LoopShard pool, which runs sockets, handlers,
+//                       tasks and timers alike; a thread spawned elsewhere
+//                       is a per-endpoint reader/writer, a per-process
+//                       mailbox or a scheduler thread creeping back in.
 //
 // A finding can be waived by putting `bftreg-lint: allow(<rule>)` in a
 // comment on the offending line or the line directly above it, with a
