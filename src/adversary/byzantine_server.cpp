@@ -1,5 +1,7 @@
 #include "adversary/byzantine_server.h"
 
+#include <algorithm>
+
 #include "registers/server.h"
 
 namespace bftreg::adversary {
@@ -221,6 +223,59 @@ void MalformedStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
   ctx.send_raw(env.from, random_bytes(ctx.rng, ctx.rng.uniform(64)));
 }
 
+// -------------------------------------------------------- CorruptElement
+
+CorruptElementStrategy::CorruptElementStrategy() = default;
+CorruptElementStrategy::~CorruptElementStrategy() = default;
+
+void CorruptElementStrategy::handle(const net::Envelope& env, ServerContext& ctx) {
+  if (!honest_) {
+    honest_ = std::make_unique<registers::RegisterServer>(
+        ctx.self, ctx.config, ctx.transport, ctx.initial);
+  }
+  auto msg = RegisterMessage::parse(env.payload);
+  if (!msg || msg->type != MsgType::kQueryData) {
+    honest_->on_message(env);
+    return;
+  }
+  const std::vector<TaggedValue> log = honest_->store(msg->object);  // ascending
+  RegisterMessage resp;
+  resp.type = MsgType::kDataResp;
+  resp.op_id = msg->op_id;
+  resp.object = msg->object;
+  resp.tag = log.back().tag;
+  Bytes element = log.back().value;
+  const size_t size = element.size();
+  switch (ctx.rng.uniform(3)) {
+    case 0: {
+      // Stale: the newest older element of the same size, if one is held.
+      auto it = std::find_if(log.rbegin() + 1, log.rend(), [&](const TaggedValue& tv) {
+        return tv.value.size() == size;
+      });
+      if (it != log.rend()) {
+        resp.tag = it->tag;
+        element = it->value;
+        break;
+      }
+      element = random_bytes(ctx.rng, size);
+      break;
+    }
+    case 1:
+      element = random_bytes(ctx.rng, size);
+      break;
+    default: {
+      // Honest head, garbage tail: stripe 0 still checks out.
+      const size_t from = size > 1 ? 1 + ctx.rng.uniform(size - 1) : size;
+      for (size_t i = from; i < size; ++i) {
+        element[i] = static_cast<uint8_t>(element[i] ^ (1 + ctx.rng.uniform(255)));
+      }
+      break;
+    }
+  }
+  resp.value = std::move(element);
+  ctx.send(env.from, resp);
+}
+
 // -------------------------------------------------------------- Turncoat
 
 TurncoatStrategy::TurncoatStrategy(uint64_t honest_ops)
@@ -246,6 +301,7 @@ const char* to_string(StrategyKind kind) {
     case StrategyKind::kDoubleReply: return "double-reply";
     case StrategyKind::kMalformed: return "malformed";
     case StrategyKind::kTurncoat: return "turncoat";
+    case StrategyKind::kCorruptElement: return "corrupt-element";
   }
   return "?";
 }
@@ -266,6 +322,8 @@ std::unique_ptr<Strategy> make_strategy(StrategyKind kind, uint64_t seed) {
       return std::make_unique<MalformedStrategy>();
     case StrategyKind::kTurncoat:
       return std::make_unique<TurncoatStrategy>(20);
+    case StrategyKind::kCorruptElement:
+      return std::make_unique<CorruptElementStrategy>();
   }
   return std::make_unique<SilentStrategy>();
 }

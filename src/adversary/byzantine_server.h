@@ -23,6 +23,10 @@
 #include "registers/config.h"
 #include "registers/messages.h"
 
+namespace bftreg::registers {
+class RegisterServer;
+}  // namespace bftreg::registers
+
 namespace bftreg::adversary {
 
 /// Everything a strategy may use to misbehave.
@@ -118,6 +122,25 @@ class MalformedStrategy final : public Strategy {
   void handle(const net::Envelope& env, ServerContext& ctx) override;
 };
 
+/// BCSR data-path liar: stores and acknowledges like an honest server but
+/// answers QUERY-DATA with a wrong element of the right size -- random
+/// bytes, a stale element it holds from an older write of the same size,
+/// or its real element with the tail from a random byte on overwritten.
+/// Size-matched lies land in the reader's decode group instead of a
+/// minority size bucket, so Berlekamp-Welch corrects them inside the
+/// protocol; the tail lie agrees with the codeword on the first stripes,
+/// so it enters the decoder's trusted set and forces its mid-element
+/// rebuild. Every other request is answered honestly.
+class CorruptElementStrategy final : public Strategy {
+ public:
+  CorruptElementStrategy();
+  ~CorruptElementStrategy() override;
+  void handle(const net::Envelope& env, ServerContext& ctx) override;
+
+ private:
+  std::unique_ptr<registers::RegisterServer> honest_;  // built on first use
+};
+
 /// Behaves honestly for `honest_ops` requests, then turns stale: models a
 /// server compromised mid-execution.
 class TurncoatStrategy final : public Strategy {
@@ -153,6 +176,9 @@ enum class StrategyKind {
   kDoubleReply,
   kMalformed,
   kTurncoat,
+  /// CorruptElementStrategy. BCSR-only, so not in kAllStrategyKinds (the
+  /// sweeps and the golden benches iterate that list over BSR too).
+  kCorruptElement,
 };
 
 const char* to_string(StrategyKind kind);

@@ -31,23 +31,32 @@ inline uint64_t lane_round(uint64_t acc, uint64_t word) {
   return rotl64(acc + word * kPrime2, 31) * kPrime1;
 }
 
-/// Padded-payload scratch reused across encode calls on the same thread
-/// (writers encode every PUT-DATA; the buffer stabilizes at the largest
-/// value seen instead of reallocating per call).
-std::vector<uint8_t>& encode_scratch() {
-  thread_local std::vector<uint8_t> buf;
-  return buf;
+/// out[0, len) = sum_i coeffs[i] * shard_i[off, off + len), each shard a
+/// contiguous byte region. The first nonzero term overwrites, so `out`
+/// needs no pre-clearing, and an identity row is one memcpy (the region
+/// kernels' 1-coefficient fast path) rather than a memset plus an xor.
+void accumulate_row(const uint8_t* coeffs, size_t k, const uint8_t* const* shards,
+                    size_t off, size_t len, uint8_t* out) {
+  size_t i = 0;
+  while (i < k && coeffs[i] == 0) ++i;
+  if (i == k) {
+    std::memset(out, 0, len);
+    return;
+  }
+  gf::mul_region(out, shards[i] + off, coeffs[i], len);
+  for (++i; i < k; ++i) {
+    gf::mul_add_region(out, shards[i] + off, coeffs[i], len);
+  }
 }
 
-/// out[0, len) = sum_i coeffs[i] * shard_i[0, len), each shard a contiguous
-/// byte region. The first term overwrites (mul_region memsets on a zero
-/// coefficient), so `out` needs no pre-clearing.
-void accumulate_row(const uint8_t* coeffs, size_t k, const uint8_t* const* shards,
-                    size_t len, uint8_t* out) {
-  gf::mul_region(out, shards[0], coeffs[0], len);
-  for (size_t i = 1; i < k; ++i) {
-    gf::mul_add_region(out, shards[i], coeffs[i], len);
-  }
+void store_le32(uint8_t* p, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+uint32_t load_le32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (size_t i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return v;
 }
 
 /// a (rows x inner) times b (inner x cols).
@@ -113,34 +122,60 @@ size_t MdsCode::element_size(size_t value_size) const {
   return (payload + k() - 1) / k();
 }
 
-std::vector<Bytes> MdsCode::encode(const Bytes& value) const {
+std::vector<Bytes> MdsCode::encode(BytesView value) const {
   const size_t stripes = element_size(value.size());
   const size_t kk = k();
+  const size_t len = value.size();
 
-  // payload = [len u32][checksum u32][value][zero padding]; shard j is the
-  // contiguous slice [j * stripes, (j+1) * stripes).
-  std::vector<uint8_t>& payload = encode_scratch();
-  payload.assign(stripes * kk, 0);
-  const auto len = static_cast<uint32_t>(value.size());
-  const uint32_t sum = value_checksum(value);
-  for (size_t i = 0; i < 4; ++i) payload[i] = static_cast<uint8_t>(len >> (8 * i));
-  for (size_t i = 0; i < 4; ++i) payload[4 + i] = static_cast<uint8_t>(sum >> (8 * i));
-  std::copy(value.begin(), value.end(), payload.begin() + kHeaderBytes);
+  // The payload [len u32][checksum u32][value][zero pad] is never built:
+  // payload byte p is header[p] below kHeaderBytes, value[p - kHeaderBytes]
+  // below kHeaderBytes + len, and zero above. Shard j is payload bytes
+  // [j * stripes, (j+1) * stripes), so the stripe range splits into
+  // segments over which every shard reads one contiguous source; the
+  // header and the pad (< k bytes) make the short segments.
+  uint8_t header[kHeaderBytes];
+  store_le32(header, static_cast<uint32_t>(len));
+  store_le32(header + 4, value_checksum(value));
+  static constexpr uint8_t kZeros[256] = {};
 
-  std::vector<const uint8_t*> shards(kk);
-  for (size_t j = 0; j < kk; ++j) shards[j] = payload.data() + j * stripes;
+  std::vector<size_t> cuts{0, stripes};
+  for (size_t j = 0; j < kk; ++j) {
+    for (const size_t b : {kHeaderBytes, kHeaderBytes + len}) {
+      if (b > j * stripes && b < (j + 1) * stripes) cuts.push_back(b - j * stripes);
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
   // Each element is one generator row applied to the shards as whole-region
-  // products -- encoded directly into its output buffer, no per-stripe
-  // intermediate. Systematic identity rows reduce to a memset + memcpy
-  // inside the region kernels' 0/1-coefficient fast paths.
+  // products, encoded directly into its output buffer. Systematic identity
+  // rows reduce to one memcpy per segment.
   const GfMatrix& gen = rs_.generator();
   std::vector<Bytes> elements(n());
-  for (size_t i = 0; i < n(); ++i) {
-    elements[i].resize(stripes);
-    accumulate_row(gen.row(i), kk, shards.data(), stripes, elements[i].data());
+  for (Bytes& e : elements) e.resize(stripes);
+  std::vector<const uint8_t*> shards(kk);
+  for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+    const size_t a = cuts[c];
+    for (size_t j = 0; j < kk; ++j) {
+      const size_t p = j * stripes + a;
+      shards[j] = p < kHeaderBytes         ? header + p
+                  : p < kHeaderBytes + len ? value.data() + (p - kHeaderBytes)
+                                           : kZeros;
+    }
+    for (size_t i = 0; i < n(); ++i) {
+      accumulate_row(gen.row(i), kk, shards.data(), 0, cuts[c + 1] - a,
+                     elements[i].data() + a);
+    }
   }
   return elements;
+}
+
+ReceivedElements::ReceivedElements(const std::vector<std::optional<Bytes>>& owned)
+    : owned_views_(owned.size()) {
+  for (size_t i = 0; i < owned.size(); ++i) {
+    if (owned[i]) owned_views_[i] = BytesView(*owned[i]);
+  }
+  views_ = owned_views_;
 }
 
 struct MdsCode::Group {
@@ -148,8 +183,7 @@ struct MdsCode::Group {
   std::vector<size_t> positions;    // server indices with this size
 };
 
-std::optional<Bytes> MdsCode::decode(
-    const std::vector<std::optional<Bytes>>& elements) const {
+std::optional<Bytes> MdsCode::decode(const ReceivedElements& elements) const {
   assert(elements.size() == n());
 
   // Bucket present elements by size; a Byzantine server lying about the
@@ -157,9 +191,9 @@ std::optional<Bytes> MdsCode::decode(
   // costs it its vote but cannot corrupt a majority-size decode.
   std::map<size_t, Group> groups;
   for (size_t i = 0; i < n(); ++i) {
-    if (!elements[i] || elements[i]->empty()) continue;
-    Group& g = groups[elements[i]->size()];
-    g.size = elements[i]->size();
+    if (elements[i].empty()) continue;
+    Group& g = groups[elements[i].size()];
+    g.size = elements[i].size();
     g.positions.push_back(i);
   }
 
@@ -175,35 +209,45 @@ std::optional<Bytes> MdsCode::decode(
 
   for (const Group* g : ordered) {
     if (g->positions.size() < k()) continue;
-    if (auto v = decode_group_impl(g, elements)) return v;
+    if (auto v = decode_group(*g, elements)) return v;
   }
   return std::nullopt;
 }
 
-// Out-of-line helper so the header stays minimal. Decodes one same-size
-// bucket: stripe 0 via Berlekamp-Welch establishes the trusted position
-// set, then -- as long as the trusted set holds -- whole data shards are
-// produced by region accumulations (the per-stripe interpolation is one
-// fixed k x k linear map, so it distributes over contiguous shard slices).
-// A stripe where any trusted position diverges from the interpolated
-// codeword (e.g. a stale element that agreed on earlier stripes) falls
-// back to per-stripe Berlekamp-Welch, rebuilds the trusted set, and the
-// bulk pass resumes with the new matrices. The verify/materialize passes
-// run in chunks so an adversarially-placed divergence cannot waste more
-// than one chunk of region work.
-std::optional<Bytes> MdsCode::decode_group_impl(
-    const Group* g, const std::vector<std::optional<Bytes>>& elements) const {
-  const size_t stripes = g->size;
-  const size_t m = g->positions.size();
+// Decodes one same-size bucket: stripe 0 via Berlekamp-Welch establishes
+// the trusted position set, then -- as long as the trusted set holds --
+// whole data shards are produced by region accumulations (the per-stripe
+// interpolation is one fixed k x k linear map, so it distributes over
+// contiguous shard slices). A stripe where any trusted position diverges
+// from the interpolated codeword (e.g. a stale element that agreed on
+// earlier stripes) falls back to per-stripe Berlekamp-Welch, rebuilds the
+// trusted set, and the bulk pass resumes with the new matrices. The
+// verify/materialize passes run in chunks so an adversarially-placed
+// divergence cannot waste more than one chunk of region work.
+//
+// Output goes where it ends: payload bytes below kHeaderBytes into a stack
+// header, the rest into `out` (value + pad), which is trimmed to the
+// header's length once the checksum matches.
+std::optional<Bytes> MdsCode::decode_group(const Group& g,
+                                           const ReceivedElements& elements) const {
+  const size_t stripes = g.size;
+  const size_t m = g.positions.size();
   const size_t e_budget = rs_.max_errors(m);
   const size_t kk = k();
   constexpr size_t kChunk = 16384;  // bytes per shard slice per bulk step
+  if (stripes * kk < kHeaderBytes) return std::nullopt;  // no room for a header
+
+  uint8_t header[kHeaderBytes];
+  Bytes out(stripes * kk - kHeaderBytes);
+  auto payload_at = [&](size_t p) -> uint8_t& {
+    return p < kHeaderBytes ? header[p] : out[p - kHeaderBytes];
+  };
 
   auto symbol_at = [&](size_t stripe) {
     std::vector<ReceivedSymbol> syms;
     syms.reserve(m);
-    for (size_t pos : g->positions) {
-      syms.push_back(ReceivedSymbol{pos, (*elements[pos])[stripe]});
+    for (size_t pos : g.positions) {
+      syms.push_back(ReceivedSymbol{pos, elements[pos][stripe]});
     }
     return syms;
   };
@@ -218,8 +262,8 @@ std::optional<Bytes> MdsCode::decode_group_impl(
   auto rebuild_trusted = [&](const std::vector<uint8_t>& coeffs,
                              size_t stripe) -> bool {
     good.clear();
-    for (size_t pos : g->positions) {
-      if (poly_eval(coeffs, rs_.alpha(pos)) == (*elements[pos])[stripe]) {
+    for (size_t pos : g.positions) {
+      if (poly_eval(coeffs, rs_.alpha(pos)) == elements[pos][stripe]) {
         good.push_back(pos);
       }
     }
@@ -230,9 +274,8 @@ std::optional<Bytes> MdsCode::decode_group_impl(
     return inv.has_value();
   };
 
-  std::vector<uint8_t> payload(stripes * kk);
   auto store_stripe = [&](size_t s, const std::vector<uint8_t>& data) {
-    for (size_t j = 0; j < kk; ++j) payload[j * stripes + s] = data[j];
+    for (size_t j = 0; j < kk; ++j) payload_at(j * stripes + s) = data[j];
   };
 
   auto first = rs_.bw_decode(symbol_at(0), e_budget);
@@ -241,7 +284,8 @@ std::optional<Bytes> MdsCode::decode_group_impl(
 
   // d_map: data shards from the k trusted symbol shards (inv for the
   // coefficient layout; Vd x inv evaluates the polynomial at the data
-  // points for the systematic layout). check: one row per *extra* trusted
+  // points for the systematic layout, the identity when the trusted
+  // shards are the data positions). check: one row per *extra* trusted
   // position, predicting its symbols from the same shards (the first k
   // trusted rows are identity by construction and need no check).
   GfMatrix d_map;
@@ -262,13 +306,25 @@ std::optional<Bytes> MdsCode::decode_group_impl(
   };
   rebuild_maps();
 
+  // Data shard j's stripes [s, s + len) from the trusted shards, split
+  // where the payload crosses from the header into the value.
   std::vector<const uint8_t*> shards(kk);
+  auto materialize = [&](size_t j, size_t s, size_t len) {
+    const size_t p = j * stripes + s;
+    const size_t head = p < kHeaderBytes ? std::min(len, kHeaderBytes - p) : 0;
+    if (head > 0) accumulate_row(d_map.row(j), kk, shards.data(), 0, head, header + p);
+    if (len > head) {
+      accumulate_row(d_map.row(j), kk, shards.data(), head, len - head,
+                     out.data() + (p + head - kHeaderBytes));
+    }
+  };
+
   std::vector<uint8_t> pred;
   size_t s = 1;
   while (s < stripes) {
     const size_t end = std::min(stripes, s + kChunk);
     const size_t len = end - s;
-    for (size_t i = 0; i < kk; ++i) shards[i] = elements[good[i]]->data() + s;
+    for (size_t i = 0; i < kk; ++i) shards[i] = elements[good[i]].data() + s;
 
     // Verify the chunk against every extra trusted position; the earliest
     // diverging stripe bounds how much of the chunk is usable.
@@ -277,8 +333,8 @@ std::optional<Bytes> MdsCode::decode_group_impl(
     for (size_t t = kk; t < good.size(); ++t) {
       const size_t limit = std::min(len, bad == SIZE_MAX ? len : bad - s);
       if (limit == 0) break;
-      accumulate_row(check.row(t - kk), kk, shards.data(), limit, pred.data());
-      const uint8_t* actual = elements[good[t]]->data() + s;
+      accumulate_row(check.row(t - kk), kk, shards.data(), 0, limit, pred.data());
+      const uint8_t* actual = elements[good[t]].data() + s;
       if (std::memcmp(pred.data(), actual, limit) != 0) {
         size_t i = 0;
         while (pred[i] == actual[i]) ++i;
@@ -289,10 +345,7 @@ std::optional<Bytes> MdsCode::decode_group_impl(
     // Materialize data shards over the verified prefix with region ops.
     const size_t clean_end = bad == SIZE_MAX ? end : bad;
     if (clean_end > s) {
-      for (size_t j = 0; j < kk; ++j) {
-        accumulate_row(d_map.row(j), kk, shards.data(), clean_end - s,
-                       payload.data() + j * stripes + s);
-      }
+      for (size_t j = 0; j < kk; ++j) materialize(j, s, clean_end - s);
       s = clean_end;
     }
 
@@ -306,20 +359,12 @@ std::optional<Bytes> MdsCode::decode_group_impl(
       rebuild_maps();
     }
   }
-  return finish(payload);
-}
 
-std::optional<Bytes> MdsCode::finish(const std::vector<uint8_t>& payload) const {
-  if (payload.size() < kHeaderBytes) return std::nullopt;
-  uint32_t len = 0;
-  uint32_t sum = 0;
-  for (size_t i = 0; i < 4; ++i) len |= static_cast<uint32_t>(payload[i]) << (8 * i);
-  for (size_t i = 0; i < 4; ++i)
-    sum |= static_cast<uint32_t>(payload[4 + i]) << (8 * i);
-  if (len > payload.size() - kHeaderBytes) return std::nullopt;
-  const BytesView value(payload.data() + kHeaderBytes, len);
-  if (value_checksum(value) != sum) return std::nullopt;
-  return Bytes(value.begin(), value.end());
+  const uint32_t len = load_le32(header);
+  if (len > out.size()) return std::nullopt;
+  out.resize(len);
+  if (value_checksum(out) != load_le32(header + 4)) return std::nullopt;
+  return out;
 }
 
 }  // namespace bftreg::codec

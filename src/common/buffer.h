@@ -9,9 +9,19 @@
 // vector into a shared control block -- the data never moves, so a pointer
 // captured before send() still identifies the delivered bytes (asserted by
 // tests/socknet_test.cpp).
+//
+// Parsed messages keep aliasing: RegisterMessage::parse hands out `value`
+// as a slice() of the frame, so a BCSR read's coded elements stay views of
+// the receive chunks they arrived in until the read decodes. On TCP that
+// pins each such chunk (recv_chunk_bytes, 256 KiB by default) while a read
+// is open: a chunk is recycled only once no delivered view references it,
+// so the transport allocates fresh chunks meanwhile. The pinned memory is
+// bounded by the reads in flight times the chunks their n - f replies
+// landed in, and is returned the moment each read completes.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -48,6 +58,14 @@ class Payload {
   uint8_t operator[](size_t i) const { return view_[i]; }
 
   BytesView view() const { return view_; }
+
+  /// A payload viewing `sub`, which must lie within this one, sharing its
+  /// owner: the bytes are not copied and stay alive as long as either
+  /// payload does.
+  Payload slice(BytesView sub) const {
+    assert(sub.empty() || (sub.data() >= begin() && sub.data() + sub.size() <= end()));
+    return Payload(owner_, sub);
+  }
   // NOLINTNEXTLINE(google-explicit-constructor): parsers take BytesView.
   operator BytesView() const { return view_; }
 

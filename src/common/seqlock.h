@@ -32,10 +32,24 @@
 //
 // The `active` flip is a release store published only after the slot's even
 // sequence; readers acquire it, so the slot they pick is always fully
-// published. Versions (returned to readers) increase by one per publish,
-// which gives readers a cross-slot monotonicity guarantee: slots are
-// flipped in version order, so two sequential reads on one thread can never
-// observe versions going backwards.
+// published. Versions (returned to readers) increase by one per publish.
+//
+// Monotonicity needs one more check. A reader can load a stale `active`
+// = X and then be overtaken: the writer flips to Y, rebuilds X with a
+// newer version and is delayed before flipping back. X now validates
+// (its sequence is even and stable), so the reader returns X's newer
+// snapshot while `active` still names Y; its next read follows `active`
+// to Y and returns the older one -- a version going backwards. The reader
+// therefore re-loads `active` after validating and retries if it moved
+// off X. Why that suffices: let a read see the flip of publish a at its
+// first load of `active` and the flip of publish r at the re-load, and
+// return version v. Then a <= v (the acquire of flip a makes publish a's
+// slot contents visible) and v <= r (validating v acquired v's sequence,
+// after which the re-load cannot see a flip older than v - 1, and a flip
+// naming v's slot is v or later). A thread's loads of `active` see flips
+// in modification order, so a later read has a' >= r, and v' >= a' >= r
+// >= v: no going backwards. The retry costs a reader one more pass only
+// when a publish completed its flip inside the read.
 #pragma once
 
 #include <atomic>
@@ -91,6 +105,10 @@ class Seqlock {
       const uint64_t ver = slot.version.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != s1) continue;
+      // Stale-slot check (file comment): a slot the writer rebuilt after
+      // flipping away from it validates, but returning it could run this
+      // reader's versions backwards.
+      if (active_.load(std::memory_order_relaxed) != idx) continue;
       std::memcpy(out, words, sizeof(T));
       if (version != nullptr) *version = ver;
       return true;

@@ -21,7 +21,7 @@ void LaggingLiar::handle(const net::Envelope& env, adversary::ServerContext& ctx
       resp.tag = store_.empty() ? Tag::initial() : store_.rbegin()->first;
       break;
     case MsgType::kPutData:
-      store_[msg->tag] = msg->value;
+      store_[msg->tag] = msg->value.to_bytes();
       resp.type = MsgType::kAck;
       resp.tag = msg->tag;
       break;

@@ -74,8 +74,8 @@ Bytes RegisterMessage::encode() const {
   return s.take();
 }
 
-std::optional<RegisterMessage> RegisterMessage::parse(BytesView payload) {
-  Deserializer d(payload);
+std::optional<RegisterMessage> RegisterMessage::parse(const Payload& payload) {
+  Deserializer d(payload.view());
   RegisterMessage m;
   const uint8_t type = d.get_u8();
   if (!d.ok() || type < kMinType || type > kMaxType) return std::nullopt;
@@ -83,10 +83,10 @@ std::optional<RegisterMessage> RegisterMessage::parse(BytesView payload) {
   m.op_id = d.get_u64();
   m.object = d.get_u32();
   m.tag = d.get_tag();
-  // Large payloads (coded elements) flow through the zero-copy view and
-  // land in their owning vector with exactly one copy.
+  // The value (often a large coded element) stays in the frame: a slice
+  // sharing the frame's owner, no copy.
   const BytesView value = d.get_bytes_view();
-  m.value.assign(value.begin(), value.end());
+  if (!value.empty()) m.value = payload.slice(value);
 
   const uint32_t history_count = d.get_u32();
   if (!d.ok()) return std::nullopt;

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/types.h"
 
 namespace bftreg::registers {
@@ -66,7 +67,14 @@ struct RegisterMessage {
   /// registers; each request/response names the object it concerns.
   uint32_t object{0};
   Tag tag{};
-  Bytes value;
+  /// The value or coded element. Shared, immutable bytes: parse() makes it
+  /// a slice of the frame it parsed (no copy; holding it keeps the frame's
+  /// buffer alive, see common/buffer.h), and a sender may alias storage it
+  /// keeps immutable instead of copying into it (a server's DATA-RESP
+  /// shares its published newest pair). Assigning Bytes moves them into a
+  /// fresh owner. Consumers that keep a value past the handler copy it out
+  /// (to_bytes()) or hold the Payload for as long as they need it.
+  Payload value;
   std::vector<TaggedValue> history;  // kHistoryResp; kDataBatchResp pairs
   /// Encode-only sibling of `history`: borrowed (tag, value-view) pairs
   /// serialized after `history` under one combined count, so a server can
@@ -88,8 +96,9 @@ struct RegisterMessage {
   Bytes encode() const;
 
   /// Defensive parse; nullopt on any malformation (wrong type byte,
-  /// truncation, oversized counts, trailing bytes).
-  static std::optional<RegisterMessage> parse(BytesView payload);
+  /// truncation, oversized counts, trailing bytes). `value` aliases
+  /// `payload`; history values are copied out.
+  static std::optional<RegisterMessage> parse(const Payload& payload);
 };
 
 const char* to_string(MsgType t);

@@ -26,7 +26,7 @@ void NewestCache::publish(const Tag& tag, BytesView value) {
   inline_.publish(entry);
 }
 
-bool NewestCache::read(Tag* tag, Bytes* value) const {
+bool NewestCache::read(Tag* tag, Payload* value) const {
   for (;;) {
     InlineEntry entry;
     if (!inline_.read(&entry)) return false;
@@ -35,7 +35,7 @@ bool NewestCache::read(Tag* tag, Bytes* value) const {
                              entry.writer_index}};
     if (entry.oversize == 0) {
       *tag = snap;
-      if (value != nullptr) value->assign(entry.data, entry.data + entry.len);
+      if (value != nullptr) *value = Bytes(entry.data, entry.data + entry.len);
       return true;
     }
     // The pointee is immutable and carries its own tag. It can be newer
@@ -48,7 +48,7 @@ bool NewestCache::read(Tag* tag, Bytes* value) const {
     if (pair == nullptr) return false;  // unreachable; defensive
     if (pair->tag != snap) continue;
     *tag = pair->tag;
-    if (value != nullptr) *value = pair->value;
+    if (value != nullptr) *value = Payload(pair, BytesView(pair->value));
     return true;
   }
 }

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/seqlock.h"
 #include "common/slab.h"
 #include "common/types.h"
@@ -65,8 +66,11 @@ class NewestCache {
   void publish(const Tag& tag, BytesView value);
 
   /// Any thread. Returns false only before the first publish. `value` may
-  /// be null when the caller wants just the tag (QUERY-TAG).
-  bool read(Tag* tag, Bytes* value) const;
+  /// be null when the caller wants just the tag (QUERY-TAG). An oversize
+  /// value aliases the published pair itself (no copy; the pair stays
+  /// alive while the Payload does, however many puts publish after it);
+  /// an inline value is copied into a fresh Payload.
+  bool read(Tag* tag, Payload* value) const;
 
  private:
   struct InlineEntry {

@@ -72,6 +72,15 @@ struct RetryPolicy {
 /// response or timer can reach it -- and then invoking its user callback.
 /// `this` is destroyed when the detached holder goes out of scope, so the
 /// completion path must be the last thing a handler does.
+///
+/// User callbacks receive their result by const reference, and the result
+/// may be lent rather than copied: BcsrReadOp hands the client's decoded
+/// value to the callback and takes it back when the callback returns. A
+/// callback may therefore read the result and start new operations (an op
+/// started from a callback never completes before the callback returns:
+/// every transport defers delivery and timers), but must copy whatever it
+/// keeps of the result, and must not destroy the client, whose per-object
+/// state the completing op touches after the callback.
 class PendingOp {
  public:
   virtual ~PendingOp() = default;

@@ -17,7 +17,7 @@ void BsrReadOp::send_request() {
 void BsrReadOp::on_response(const ProcessId& from, RegisterMessage msg) {
   if (msg.type != MsgType::kDataResp || msg.object != object()) return;
   if (!responded_.add(from)) return;
-  responses_.emplace(from, TaggedValue{msg.tag, std::move(msg.value)});
+  responses_.emplace(from, TaggedValue{msg.tag, msg.value.to_bytes()});
   if (responded_.reached()) finish();
 }
 
@@ -73,13 +73,16 @@ void BcsrReadOp::on_response(const ProcessId& from, RegisterMessage msg) {
   if (msg.type != MsgType::kDataResp || msg.object != object()) return;
   if (from.index >= config().n) return;
   if (!responded_.add(from)) return;
+  // Kept as a view of the frame it arrived in: the decoder reads the
+  // element where the transport put it.
   elements_[from.index] = std::move(msg.value);
   if (!responded_.reached()) return;
 
   // Fig. 5 line 4: return Phi^{-1}(received elements) if possible,
   // otherwise fall back (v0 / last decodable value).
   bool fresh = false;
-  if (auto decoded = code_->decode(elements_)) {
+  const std::vector<BytesView> views(elements_.begin(), elements_.end());
+  if (auto decoded = code_->decode(views)) {
     state_->last_decoded = std::move(*decoded);
     fresh = true;
   } else {
@@ -92,11 +95,17 @@ void BcsrReadOp::on_timeout() { complete(false); }
 
 void BcsrReadOp::complete(bool fresh) {
   auto self = detach_self();
+  elements_.clear();  // unpin the receive buffers before the callback runs
   ReadResult result;
-  result.value = state_->last_decoded;
+  // Lent, not copied: the callback reads the decoded value where it lies
+  // and it goes back to the local state afterwards. Sound under op_mux.h's
+  // callback contract: an op the callback starts cannot complete before
+  // the callback returns, and the client (owner of state_) outlives it.
+  result.value = std::move(state_->last_decoded);
   result.fresh = fresh;
   fill_result(result, 1);
   if (cb_) cb_(result);
+  state_->last_decoded = std::move(result.value);
 }
 
 // --- HistoryReadOp ----------------------------------------------------------
@@ -206,13 +215,13 @@ void TwoRoundReadOp::begin_get_data() {
 void TwoRoundReadOp::on_data_at(const ProcessId& from, const RegisterMessage& msg) {
   if (phase_ != Phase::kGetData) return;
   if (msg.tag != target_) return;  // Byzantine answer for a different tag
-  auto& voters = value_votes_[msg.value];
+  auto& voters = value_votes_[msg.value.to_bytes()];
   voters.insert(from);
   if (voters.size() < config().witness_threshold()) return;
 
   bool fresh = false;
   if (target_ > state_->local.tag) {
-    state_->local = TaggedValue{target_, msg.value};
+    state_->local = TaggedValue{target_, msg.value.to_bytes()};
     fresh = true;
   }
   complete(fresh);
@@ -274,7 +283,7 @@ void WriteBackReadOp::on_response(const ProcessId& from, RegisterMessage msg) {
     case MsgType::kDataResp: {
       if (phase_ != Phase::kGetData) return;
       if (!responded_.add(from)) return;
-      responses_.emplace(from, TaggedValue{msg.tag, std::move(msg.value)});
+      responses_.emplace(from, TaggedValue{msg.tag, msg.value.to_bytes()});
       if (responded_.reached()) begin_write_back();
       break;
     }
@@ -349,7 +358,7 @@ void RbReadOp::on_response(const ProcessId& from, RegisterMessage msg) {
     default:
       return;
   }
-  note_pair(from, TaggedValue{msg.tag, std::move(msg.value)});
+  note_pair(from, TaggedValue{msg.tag, msg.value.to_bytes()});
   try_complete();
 }
 

@@ -119,7 +119,10 @@ class BcsrReadOp final : public PendingOp {
   LocalState* const state_;
   ReadCallback cb_;
   QuorumTracker responded_;
-  std::vector<std::optional<Bytes>> elements_;  // index = server position
+  /// Index = server position; empty = no response yet. Each aliases the
+  /// frame it arrived in (RegisterMessage::value), pinning that receive
+  /// buffer until the read completes.
+  std::vector<Payload> elements_;
 };
 
 /// History-based regular read (Section III-C, option 1).

@@ -13,7 +13,7 @@ namespace {
 /// RB blob: the (writer, op_id, object, tag, value) tuple a PUT-DATA
 /// carries.
 Bytes encode_blob(const ProcessId& writer, uint64_t op_id, uint32_t object,
-                  const Tag& tag, const Bytes& value) {
+                  const Tag& tag, BytesView value) {
   Serializer s;
   s.put_process_id(writer);
   s.put_u64(op_id);
@@ -169,7 +169,7 @@ void RbServer::handle_query(const ProcessId& from, const RegisterMessage& msg) {
     const LogEntry& newest = rec->log.newest();
     resp.tag = newest.tag;
     const BytesView v = newest.val.view();
-    resp.value.assign(v.begin(), v.end());
+    resp.value = Bytes(v.begin(), v.end());
   } else {
     resp.tag = Tag::initial();
     resp.value = initial_;

@@ -76,12 +76,14 @@ std::vector<TaggedValue> RegisterServer::store(uint32_t object) const {
 
 std::pair<Tag, Bytes> RegisterServer::newest_entry(uint32_t object) const {
   std::pair<Tag, Bytes> out;
-  read_newest(object, &out.first, &out.second);
+  Payload value;
+  read_newest(object, &out.first, &value);
+  out.second = value.to_bytes();
   return out;
 }
 
 void RegisterServer::read_newest(uint32_t object, Tag* tag,
-                                 Bytes* value) const {
+                                 Payload* value) const {
   const auto* rec = shard_for(object).store.find(object);
   if (rec != nullptr && rec->newest.read(tag, value)) return;
   *tag = Tag::initial();
@@ -265,7 +267,8 @@ void RegisterServer::handle_query_tag(const ProcessId& from,
   reply(from, resp);
 }
 
-bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
+bool RegisterServer::apply_put(uint32_t object, const Tag& tag,
+                               const Payload& value) {
   Shard& shard = shard_for(object);
   const auto res = shard.store.apply(object, tag, value);
   if (res.bytes_delta >= 0) {
@@ -297,7 +300,7 @@ bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
     resp.type = MsgType::kDataAtResp;
     resp.object = object;
     resp.tag = tag;
-    resp.value = std::move(value);
+    resp.value = value;
     for (const auto& [reader, op_id] : *waiters) {
       resp.op_id = op_id;
       // Unindex the satisfied waiter (its other deferred keys, if any, stay).
@@ -318,7 +321,7 @@ bool RegisterServer::apply_put(uint32_t object, const Tag& tag, Bytes value) {
 
 void RegisterServer::handle_put_data(const ProcessId& from, RegisterMessage req) {
   Shard& shard = shard_for(req.object);
-  apply_put(req.object, req.tag, std::move(req.value));
+  apply_put(req.object, req.tag, req.value);
   // Fig. 3: the ACK is sent regardless of whether the entry was new.
   RegisterMessage ack;
   ack.type = MsgType::kAck;
@@ -339,6 +342,8 @@ void RegisterServer::handle_query_data(const ProcessId& from,
   resp.type = MsgType::kDataResp;
   resp.op_id = req.op_id;
   resp.object = req.object;
+  // A bulk value (a coded element) goes out as a view of the published
+  // pair: the only copy is the frame serializer's.
   read_newest(req.object, &resp.tag, &resp.value);
   reply(from, resp);
 }
@@ -398,7 +403,7 @@ void RegisterServer::handle_query_data_at(const ProcessId& from,
     resp.op_id = req.op_id;
     resp.object = req.object;
     resp.tag = req.tag;
-    resp.value.assign(value.begin(), value.end());
+    resp.value = Bytes(value.begin(), value.end());
     reply(from, resp);
     return;
   }
@@ -438,9 +443,10 @@ void RegisterServer::handle_query_data_batch(const ProcessId& from,
     // seqlock snapshots are safe to read from this shard's thread. Every
     // object is read afresh: a put another shard acked after an earlier
     // request in this mailbox batch must show in this reply.
-    TaggedValue tv;
-    read_newest(req.objects[i], &tv.tag, &tv.value);
-    resp.history.push_back(std::move(tv));
+    Tag tag;
+    Payload value;
+    read_newest(req.objects[i], &tag, &value);
+    resp.history.push_back(TaggedValue{tag, value.to_bytes()});
   }
   reply(from, resp);
 }

@@ -131,7 +131,7 @@ class RegisterServer : public net::IProcess {
   /// entry was added. Also satisfies deferred QUERY-DATA-AT readers.
   /// Virtual so durable servers (storage::PersistentRegisterServer) can
   /// interpose write-ahead logging. Runs on `object`'s owner shard.
-  virtual bool apply_put(uint32_t object, const Tag& tag, Bytes value);
+  virtual bool apply_put(uint32_t object, const Tag& tag, const Payload& value);
 
   /// Stamps the current view epoch into `msg` (hence non-const) and sends
   /// it. Every reply path funnels through here so epoch piggybacking cannot
@@ -209,7 +209,7 @@ class RegisterServer : public net::IProcess {
   /// the owner's object table plus one seqlock snapshot; {t0, initial_}
   /// when the object was never materialized. `value` may be null (QUERY-
   /// TAG wants just the tag).
-  void read_newest(uint32_t object, Tag* tag, Bytes* value) const;
+  void read_newest(uint32_t object, Tag* tag, Payload* value) const;
   /// Publishes every dirty object's newest pair, then releases the held
   /// replies. No-op when nothing is pending.
   void flush_batch(Shard& shard);

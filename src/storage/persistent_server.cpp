@@ -18,11 +18,13 @@ PersistentRegisterServer::PersistentRegisterServer(ProcessId self,
                                                    RecoveryPolicy policy)
     : RegisterServer(self, std::move(config), transport, std::move(initial)),
       wal_(std::move(wal_path)) {
-  const ReplayResult replayed = WriteAheadLog::replay(wal_.path());
+  ReplayResult replayed = WriteAheadLog::replay(wal_.path());
   truncated_ = replayed.truncated_bytes;
   recovering_ = true;
-  for (const WalRecord& r : replayed.records) {
-    if (RegisterServer::apply_put(r.object, r.tag, r.value)) ++recovered_;
+  for (WalRecord& r : replayed.records) {
+    if (RegisterServer::apply_put(r.object, r.tag, Payload(std::move(r.value)))) {
+      ++recovered_;
+    }
   }
   recovering_ = false;
   if (policy == RecoveryPolicy::kCatchUpBeforeServe) {
@@ -34,20 +36,15 @@ PersistentRegisterServer::PersistentRegisterServer(ProcessId self,
 }
 
 bool PersistentRegisterServer::apply_put(uint32_t object, const Tag& tag,
-                                         Bytes value) {
+                                         const Payload& value) {
   // Probe-then-log-then-apply would double the map lookups; instead apply
   // first and log on success. Both orders are equivalent here: the ACK is
   // only sent after this handler returns, so a crash mid-handler loses the
-  // ACK along with (at worst) the log record.
-  if (recovering_) {
-    // Replayed records are never re-logged; skip the log-copy entirely so
-    // recovery moves each (possibly large) coded element exactly once.
-    return RegisterServer::apply_put(object, tag, std::move(value));
-  }
-  Bytes copy = value;  // keep bytes for the log; base consumes `value`
-  const bool added = RegisterServer::apply_put(object, tag, std::move(value));
-  if (added) {
-    wal_.append(WalRecord{object, tag, std::move(copy)});
+  // ACK along with (at worst) the log record. Replayed records are never
+  // re-logged.
+  const bool added = RegisterServer::apply_put(object, tag, value);
+  if (added && !recovering_) {
+    wal_.append(WalRecord{object, tag, value.to_bytes()});
   }
   return added;
 }

@@ -108,7 +108,7 @@ class PersistentRegisterServer final : public registers::RegisterServer {
   size_t catch_up_adopted() const { return adopted_; }
 
  protected:
-  bool apply_put(uint32_t object, const Tag& tag, Bytes value) override;
+  bool apply_put(uint32_t object, const Tag& tag, const Payload& value) override;
 
  private:
   /// Catch-up wire ops use fixed ids in a namespace no client allocator

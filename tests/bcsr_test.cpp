@@ -108,6 +108,11 @@ TEST(BcsrTest, LargeValueRoundTrip) {
 
 struct BcsrSweepParam {
   StrategyKind kind;
+  /// Fills the bytes that would otherwise be padding after the enum. The
+  /// name generator sets only the ctest name's prefix; gtest appends
+  /// "# GetParam() = " and the case's raw bytes, so every byte must be
+  /// initialized for a case to have the same ctest name in every build.
+  uint32_t unused{0};
   size_t n;
   size_t f;
 };
@@ -115,7 +120,7 @@ struct BcsrSweepParam {
 class BcsrAdversarySweep : public ::testing::TestWithParam<BcsrSweepParam> {};
 
 TEST_P(BcsrAdversarySweep, SequentialWorkloadSafeUnderFByzantine) {
-  const auto [kind, n, f] = GetParam();
+  const auto [kind, unused, n, f] = GetParam();
   SimCluster cluster(bcsr_options(n, f, 101 + n + f));
   for (size_t i = 0; i < f; ++i) {
     cluster.set_byzantine((i * 3 + 2) % n, kind);
@@ -133,10 +138,10 @@ TEST_P(BcsrAdversarySweep, SequentialWorkloadSafeUnderFByzantine) {
 std::vector<BcsrSweepParam> bcsr_sweep_params() {
   std::vector<BcsrSweepParam> out;
   for (StrategyKind kind : adversary::kAllStrategyKinds) {
-    out.push_back({kind, 6, 1});
-    out.push_back({kind, 11, 2});
-    out.push_back({kind, 16, 3});
-    out.push_back({kind, 18, 3});  // n > 5f+1: slack beyond the bound
+    out.push_back({kind, 0, 6, 1});
+    out.push_back({kind, 0, 11, 2});
+    out.push_back({kind, 0, 16, 3});
+    out.push_back({kind, 0, 18, 3});  // n > 5f+1: slack beyond the bound
   }
   return out;
 }
@@ -150,6 +155,36 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, BcsrAdversarySweep,
                            }
                            return name + "_n" + std::to_string(info.param.n);
                          });
+
+// f Byzantine servers whose DATA-RESPs are wrong elements of the right size
+// (garbage, stale, or a real element with a corrupted tail): the lies join
+// the reader's decode group, so Berlekamp-Welch -- and, for the tail lie,
+// the decoder's trusted-set rebuild -- run inside the protocol. n = 5f+1
+// is the paper's bound (k = 1); n = 8, f = 1 (k = 3) puts the liar on a
+// systematic data position, so the decode leaves the identity map.
+TEST(BcsrTest, DecoderCorrectsRightSizedWrongElements) {
+  struct Case {
+    size_t n;
+    size_t f;
+  };
+  for (const Case c : {Case{6, 1}, Case{11, 2}, Case{8, 1}}) {
+    SimCluster cluster(bcsr_options(c.n, c.f, 40 + c.n));
+    for (size_t i = 0; i < c.f; ++i) {
+      cluster.set_byzantine((i * 3 + 1) % c.n, StrategyKind::kCorruptElement);
+    }
+    for (int i = 0; i < 12; ++i) {
+      // Same-size values, so every stale element the liars hold is
+      // size-matched too.
+      const Bytes payload = workload::make_value(c.n, i, 700);
+      cluster.write(0, payload);
+      const auto r = cluster.read(i % 2);
+      EXPECT_EQ(r.value, payload) << "n=" << c.n << " f=" << c.f << " round " << i;
+      EXPECT_TRUE(r.fresh) << "n=" << c.n << " f=" << c.f << " round " << i;
+    }
+    const auto res = check_safety(cluster.recorder().ops(), bcsr_check());
+    EXPECT_TRUE(res.ok) << res.violation;
+  }
+}
 
 // Lemma 4's exact adversarial mix, end to end: f Byzantine garbage + f
 // stale-honest servers, reader still decodes the latest value.

@@ -202,6 +202,11 @@ TEST(BsrTest, DoubleRepliesAreDeduplicated) {
 
 struct AdversarySweepParam {
   StrategyKind kind;
+  /// Fills the bytes that would otherwise be padding after the enum. The
+  /// name generator sets only the ctest name's prefix; gtest appends
+  /// "# GetParam() = " and the case's raw bytes, so every byte must be
+  /// initialized for a case to have the same ctest name in every build.
+  uint32_t unused{0};
   size_t n;
   size_t f;
 };
@@ -209,7 +214,7 @@ struct AdversarySweepParam {
 class BsrAdversarySweep : public ::testing::TestWithParam<AdversarySweepParam> {};
 
 TEST_P(BsrAdversarySweep, SequentialWorkloadStaysSafeUnderFByzantine) {
-  const auto [kind, n, f] = GetParam();
+  const auto [kind, unused, n, f] = GetParam();
   SimCluster cluster(bsr_options(n, f, 31 + n * 3 + f));
   // Place f Byzantine servers at spread positions.
   for (size_t i = 0; i < f; ++i) {
@@ -229,11 +234,11 @@ TEST_P(BsrAdversarySweep, SequentialWorkloadStaysSafeUnderFByzantine) {
 std::vector<AdversarySweepParam> adversary_sweep_params() {
   std::vector<AdversarySweepParam> out;
   for (StrategyKind kind : adversary::kAllStrategyKinds) {
-    out.push_back({kind, 5, 1});
-    out.push_back({kind, 9, 2});
-    out.push_back({kind, 13, 3});
-    out.push_back({kind, 17, 4});
-    out.push_back({kind, 23, 5});  // n > 4f+1: slack beyond the bound
+    out.push_back({kind, 0, 5, 1});
+    out.push_back({kind, 0, 9, 2});
+    out.push_back({kind, 0, 13, 3});
+    out.push_back({kind, 0, 17, 4});
+    out.push_back({kind, 0, 23, 5});  // n > 4f+1: slack beyond the bound
   }
   return out;
 }

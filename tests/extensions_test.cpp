@@ -251,7 +251,7 @@ class ValueLiar final : public adversary::Strategy {
     resp.object = msg->object;
     switch (msg->type) {
       case registers::MsgType::kPutData:
-        store_[msg->tag] = msg->value;
+        store_[msg->tag] = msg->value.to_bytes();
         resp.type = registers::MsgType::kAck;
         resp.tag = msg->tag;
         break;

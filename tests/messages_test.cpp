@@ -29,6 +29,37 @@ TEST(MessagesTest, RoundTripPutData) {
   EXPECT_EQ(parsed->value, m.value);
 }
 
+// parse() leaves the value in the frame: the parsed value is a view into
+// the payload it was given (same bytes, same owner), not a copy, and the
+// message it re-encodes to is the original frame byte for byte.
+TEST(MessagesTest, ParsedValueAliasesTheFrame) {
+  RegisterMessage m;
+  m.type = MsgType::kDataResp;
+  m.op_id = 11;
+  m.object = 3;
+  m.tag = Tag{4, ProcessId::writer(1)};
+  Bytes element(5000);
+  for (size_t i = 0; i < element.size(); ++i) element[i] = static_cast<uint8_t>(i * 7);
+  m.value = element;
+  const Payload frame(m.encode());
+
+  const auto parsed = RegisterMessage::parse(frame);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->value.size(), element.size());
+  EXPECT_GE(parsed->value.data(), frame.data());
+  EXPECT_LE(parsed->value.data() + parsed->value.size(), frame.data() + frame.size());
+  EXPECT_EQ(parsed->value.owner(), frame.owner());
+  EXPECT_EQ(parsed->value, element);
+  EXPECT_EQ(parsed->encode(), frame.to_bytes());
+
+  // The view keeps the frame alive on its own.
+  const Payload value = [&] {
+    const Payload local(m.encode());
+    return RegisterMessage::parse(local)->value;
+  }();
+  EXPECT_EQ(value, element);
+}
+
 TEST(MessagesTest, RoundTripHistory) {
   RegisterMessage m;
   m.type = MsgType::kHistoryResp;

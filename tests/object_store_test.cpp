@@ -107,7 +107,7 @@ void expect_equal(const CompactObjectStore& store, const ReferenceModel& ref) {
       ++it;
     }
     Tag newest_tag;
-    Bytes newest_value;
+    Payload newest_value;
     ASSERT_TRUE(rec->newest.read(&newest_tag, &newest_value));
     EXPECT_EQ(newest_tag, log.rbegin()->first);
     EXPECT_EQ(newest_value, log.rbegin()->second);
@@ -369,7 +369,7 @@ TEST(ObjectStoreTest, SeqlockPublishPathUnderConcurrentReaders) {
       uint64_t last = 0;
       while (!stop.load(std::memory_order_acquire)) {
         Tag tag;
-        Bytes value;
+        Payload value;
         if (!cache->read(&tag, &value)) continue;
         if (tag.num < last) ++torn;
         last = tag.num;
@@ -388,10 +388,42 @@ TEST(ObjectStoreTest, SeqlockPublishPathUnderConcurrentReaders) {
   EXPECT_EQ(torn.load(), 0u);
 
   Tag tag;
-  Bytes value;
+  Payload value;
   ASSERT_TRUE(store.find(kObject)->newest.read(&tag, &value));
   EXPECT_EQ(tag.num, kWrites);
   EXPECT_EQ(value, value_for(kWrites));
+}
+
+// A bulk value read from the cache is the published pair itself, lent out:
+// no copy, and a newer publish swaps the pointer without touching the
+// bytes a reader still holds.
+TEST(ObjectStoreTest, NewestReadLendsThePublishedPair) {
+  NewestCache cache;
+  const Bytes first(NewestCache::kInlineValueCap + 100, 0xAB);
+  const Tag t1{1, ProcessId::writer(0)};
+  cache.publish(t1, first);
+
+  Tag tag;
+  Payload held;
+  ASSERT_TRUE(cache.read(&tag, &held));
+  EXPECT_EQ(tag, t1);
+  Payload again;
+  ASSERT_TRUE(cache.read(&tag, &again));
+  EXPECT_EQ(again.data(), held.data());  // both alias one published pair
+
+  const Tag t2{2, ProcessId::writer(0)};
+  cache.publish(t2, Bytes(first.size(), 0xCD));
+  EXPECT_EQ(held, first);  // the held view outlives its replacement intact
+  Payload newer;
+  ASSERT_TRUE(cache.read(&tag, &newer));
+  EXPECT_EQ(tag, t2);
+  EXPECT_NE(newer.data(), held.data());
+
+  // Inline values are copied out of the seqlock slot.
+  cache.publish(Tag{3, ProcessId::writer(0)}, Bytes{1, 2, 3});
+  Payload small;
+  ASSERT_TRUE(cache.read(&tag, &small));
+  EXPECT_EQ(small, (Bytes{1, 2, 3}));
 }
 
 }  // namespace

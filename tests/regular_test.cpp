@@ -150,6 +150,11 @@ TEST(RegularVariantTest, HistoryReadBandwidthGrowsWithWrites) {
 // Randomized concurrent schedules must stay regular for both variants.
 struct RegularRandomParam {
   Protocol protocol;
+  /// Fills the bytes that would otherwise be padding after the enum. The
+  /// name generator sets only the ctest name's prefix; gtest appends
+  /// "# GetParam() = " and the case's raw bytes, so every byte must be
+  /// initialized for a case to have the same ctest name in every build.
+  uint32_t unused{0};
   uint64_t seed;
 };
 
@@ -157,7 +162,7 @@ class RegularRandomScheduleTest
     : public ::testing::TestWithParam<RegularRandomParam> {};
 
 TEST_P(RegularRandomScheduleTest, RandomExecutionIsRegular) {
-  const auto [protocol, seed] = GetParam();
+  const auto [protocol, unused, seed] = GetParam();
   Rng rng(seed * 17 + 3);
   const size_t f = 1 + rng.uniform(2);
   const size_t n = 4 * f + 1 + rng.uniform(2);
@@ -207,8 +212,8 @@ TEST_P(RegularRandomScheduleTest, RandomExecutionIsRegular) {
 std::vector<RegularRandomParam> regular_random_params() {
   std::vector<RegularRandomParam> out;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    out.push_back({Protocol::kBsrHistory, seed});
-    out.push_back({Protocol::kBsr2R, seed});
+    out.push_back({Protocol::kBsrHistory, 0, seed});
+    out.push_back({Protocol::kBsr2R, 0, seed});
   }
   return out;
 }

@@ -7,7 +7,18 @@
 // The seqlock tests follow the standard validation trio for published
 // snapshots: correlated fields expose torn reads under constant flips,
 // versions must never run backwards within a reader, and back-to-back reads
-// must observe same-or-newer snapshots. The ring tests drive N producers
+// must observe same-or-newer snapshots.
+//
+// Torn snapshots and backward versions are counted apart because they have
+// different causes. A tear would be a broken sequence protocol. A backward
+// version came from this interleaving, which the reader's re-check of
+// `active` (common/seqlock.h) now rejects: a reader loads `active` = X; the
+// writer flips to Y, rebuilds X with a newer version and stalls before
+// flipping back; the reader validates X's newer snapshot, and its next
+// read follows `active` to Y and the older one. Without the re-check, four
+// concurrent copies of ManyConcurrentReaders saw no tears but dozens of
+// backward versions per 1200 repeats; ctest runs that stress as
+// seqlock_concurrent_copies. The ring tests drive N producers
 // against the single consumer and check the two properties the mailbox
 // depends on: nothing is lost or duplicated, and each producer's items
 // arrive in its push order (per-producer FIFO).
@@ -140,17 +151,21 @@ TEST(SeqlockTest, ManyConcurrentReaders) {
 
   constexpr int kReaders = 4;
   std::vector<std::thread> readers;
-  std::atomic<int> failures{0};
+  std::atomic<int> failed_reads{0};
+  std::atomic<int> torn{0};
+  std::atomic<int> backward{0};
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       uint64_t last_version = 0;
       for (int k = 0; k < 10000; ++k) {
         Snapshot s;
         uint64_t version = 0;
-        if (!lock.read(&s, &version) || s.b != ~s.a || version < last_version) {
-          failures.fetch_add(1, std::memory_order_relaxed);
+        if (!lock.read(&s, &version)) {
+          failed_reads.fetch_add(1, std::memory_order_relaxed);
           return;
         }
+        if (s.b != ~s.a) torn.fetch_add(1, std::memory_order_relaxed);
+        if (version < last_version) backward.fetch_add(1, std::memory_order_relaxed);
         last_version = version;
       }
     });
@@ -158,7 +173,9 @@ TEST(SeqlockTest, ManyConcurrentReaders) {
   for (auto& t : readers) t.join();
   run.store(false, std::memory_order_relaxed);
   writer.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failed_reads.load(), 0);
+  EXPECT_EQ(torn.load(), 0) << "torn snapshots";
+  EXPECT_EQ(backward.load(), 0) << "versions that ran backwards";
 }
 
 // --- MPSC ring --------------------------------------------------------------

@@ -559,8 +559,9 @@ class ServerTableGrowth : public ::testing::TestWithParam<uint32_t> {
     m.type = MsgType::kPutData;
     m.object = object;
     m.tag = grown_tag(object, round);
-    m.value = grown_value(object);
-    if (round > 1) m.value.push_back(static_cast<uint8_t>(round));
+    Bytes value = grown_value(object);
+    if (round > 1) value.push_back(static_cast<uint8_t>(round));
+    m.value = std::move(value);
     EXPECT_EQ(ask(m).type, MsgType::kAck);
   }
 
@@ -661,12 +662,16 @@ class AckProbe final : public net::IProcess {
   std::atomic<size_t> acks{0};
 };
 
-/// Hands each DATA-BATCH-RESP to the reader thread waiting on it.
+/// Hands each DATA-BATCH-RESP or DATA-RESP to the reader thread waiting
+/// on it.
 class ReplySlot final : public net::IProcess {
  public:
   void on_message(const net::Envelope& env) override {
     auto msg = RegisterMessage::parse(env.payload);
-    if (!msg || msg->type != MsgType::kDataBatchResp) return;
+    if (!msg || (msg->type != MsgType::kDataBatchResp &&
+                 msg->type != MsgType::kDataResp)) {
+      return;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     reply_ = std::move(*msg);
     cv_.notify_one();
@@ -804,6 +809,127 @@ TEST(ServerTableGrowthConcurrency, BatchReadsAcrossOwnersWhileTablesGrow) {
   EXPECT_GE(reads.load(), kReaders * 20);
   EXPECT_GT(acked_reads.load(), 0u);
   EXPECT_EQ(server.objects_known(), kObjects + 1);
+}
+
+// A DATA-RESP for a bulk value is built as a view of the object's
+// published pair, not a copy of it. Real threads at server_shards = 2: the
+// test thread streams puts of 4 KiB values to one hot object while two
+// readers ask for it -- by QUERY-DATA on the owner shard, and by a
+// QUERY-DATA-BATCH routed to the other shard, whose thread reads the pair
+// while the owner publishes newer ones. Every reply must carry exactly the
+// value written under the tag it reports; under tsan this also shows the
+// aliased bytes are never written once published.
+TEST(ServerDataRespAliasing, RepliesStayIntactWhileNewerPutsPublish) {
+  constexpr uint64_t kPuts = 1500;
+  const Bytes v0{'v', '0'};
+  auto value_for = [](uint64_t num) {
+    Bytes v(4096);
+    for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<uint8_t>(num * 131 + i);
+    return v;
+  };
+
+  runtime::ThreadNetwork net(runtime::RuntimeConfig{});
+  SystemConfig config;
+  config.n = 5;
+  config.f = 1;
+  config.initial_value = v0;
+  config.server_shards = 2;
+  const ProcessId server_id = ProcessId::server(0);
+  RegisterServer server(server_id, config, &net, v0);
+  // The hot object and a batch-routing object owned by the other shard.
+  uint32_t hot = 1;
+  uint32_t other = 2;
+  auto owner = [&](uint32_t object) {
+    RegisterMessage probe;
+    probe.type = MsgType::kQueryData;
+    probe.object = object;
+    net::Envelope env;
+    env.payload = probe.encode();
+    return server.shard_of(env);
+  };
+  while (owner(other) == owner(hot)) ++other;
+
+  const ProcessId writer = ProcessId::writer(0);
+  AckProbe acks(std::max(hot, other));
+  net.add_process(server_id, &server);
+  net.add_process(writer, &acks);
+  ReplySlot direct, batched;
+  net.add_process(ProcessId::reader(0), &direct);
+  net.add_process(ProcessId::reader(1), &batched);
+  net.start();
+
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> bad{0}, timeouts{0}, fresh_reads{0};
+  auto check = [&](const Tag& tag, BytesView value) {
+    const bool ok = tag == Tag::initial()
+                        ? std::equal(value.begin(), value.end(), v0.begin(), v0.end())
+                        : Bytes(value.begin(), value.end()) == value_for(tag.num);
+    if (!ok) ++bad;
+    if (tag != Tag::initial()) ++fresh_reads;
+  };
+  std::thread direct_reader([&] {
+    uint64_t op = 0;
+    for (int tail = 0; tail < 20;) {
+      if (!writing.load(std::memory_order_acquire)) ++tail;
+      RegisterMessage q;
+      q.type = MsgType::kQueryData;
+      q.op_id = ++op;
+      q.object = hot;
+      net.send(ProcessId::reader(0), server_id, q.encode());
+      const auto resp = direct.wait(q.op_id);
+      if (!resp) {
+        ++timeouts;
+        return;
+      }
+      check(resp->tag, resp->value);
+    }
+  });
+  std::thread batch_reader([&] {
+    uint64_t op = 0;
+    for (int tail = 0; tail < 20;) {
+      if (!writing.load(std::memory_order_acquire)) ++tail;
+      RegisterMessage q;
+      q.type = MsgType::kQueryDataBatch;
+      q.op_id = ++op;
+      q.object = other;  // routes the request away from the hot owner
+      q.objects = {hot, hot};
+      net.send(ProcessId::reader(1), server_id, q.encode());
+      const auto resp = batched.wait(q.op_id);
+      if (!resp || resp->history.size() != 2) {
+        ++timeouts;
+        return;
+      }
+      for (const TaggedValue& tv : resp->history) check(tv.tag, tv.value);
+    }
+  });
+
+  for (uint64_t num = 1; num <= kPuts; ++num) {
+    while (num - 1 - acks.acks.load(std::memory_order_acquire) >= 64) {
+      std::this_thread::yield();
+    }
+    RegisterMessage m;
+    m.type = MsgType::kPutData;
+    m.op_id = num;
+    m.object = hot;
+    m.tag = Tag{num, writer};
+    m.value = value_for(num);
+    net.send(writer, server_id, m.encode());
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (acks.acks.load(std::memory_order_acquire) < kPuts &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  writing.store(false, std::memory_order_release);
+  direct_reader.join();
+  batch_reader.join();
+  net.stop();
+
+  EXPECT_EQ(acks.acks.load(), kPuts);
+  EXPECT_EQ(timeouts.load(), 0u);
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(fresh_reads.load(), 0u);
+  EXPECT_EQ(server.max_tag(hot), (Tag{kPuts, writer}));
 }
 
 TEST(ServerConfigTest, BuilderRejectsZeroShards) {
